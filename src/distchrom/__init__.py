@@ -8,6 +8,7 @@ expected-fixer certificate machinery, all over exact arithmetic.
 
 from .algebra import BigRational, FiniteField, binomial, field_new, least_prime_divisor, partition_count
 from .coloring import (
+    CapExceeded,
     Coloring,
     chromatic_number,
     distinguishing_chromatic_number,
@@ -50,13 +51,11 @@ from .motion import (
     lg1_bound,
     lovasz_schrijver_check,
     max_fixed_ksets,
-    motion,
     randomized_split_search,
     slope_mobius,
     weak_bound,
 )
 from .permgroup import (
-    CapExceeded,
     GroupSpec,
     closure,
     group_order,

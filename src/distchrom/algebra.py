@@ -160,20 +160,28 @@ def _ext_mul(a: int, b: int, p: int, n: int, reduction: tuple[int, ...]) -> int:
 def _validate_field(f: FiniteField) -> None:
     q = f.q
     rng = range(q)
-    assert all(f.add(a, 0) == a and f.mul(a, 1) == a for a in rng)
-    assert all(f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a) for a in rng for b in rng)
+
+    def require(ok: bool, law: str) -> None:
+        if not ok:
+            raise ArithmeticError(f"GF({q}) tables violate {law}")
+
+    require(all(f.add(a, 0) == a and f.mul(a, 1) == a for a in rng), "the identities")
+    require(
+        all(f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a) for a in rng for b in rng),
+        "commutativity",
+    )
     for a in rng:
         for b in rng:
             for c in rng:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                require(f.add(f.add(a, b), c) == f.add(a, f.add(b, c)), "associativity of +")
+                require(f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c)), "associativity of *")
+                require(f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c)), "distributivity")
     for a in range(1, q):
-        assert f.mul(a, f.inv_table[a]) == 1
+        require(f.mul(a, f.inv_table[a]) == 1, "inverses")
     x = list(rng)
     for _ in range(f.n):
         x = [f.frobenius[v] for v in x]
-    assert x == list(rng), "frobenius iterated n times must be the identity"
+    require(x == list(rng), "frobenius iterated n times is the identity")
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphcore import Graph, SearchTimeout, color_preserving_automorphisms
-from .permgroup import CapExceeded, Perm
+from .permgroup import Perm
 
 __all__ = [
     "CapExceeded",
@@ -37,6 +37,10 @@ __all__ = [
 
 class InvalidParameters(ValueError):
     pass
+
+
+class CapExceeded(RuntimeError):
+    """Coloring enumeration grew past the requested cap."""
 
 
 class Infeasible(RuntimeError):

@@ -76,6 +76,8 @@ class Graph:
     ) -> "Graph":
         adj = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
@@ -162,7 +164,10 @@ class Graph:
                 if labels is None:
                     labels = [""] * n
                 _, v, *rest = ln.split(maxsplit=2)
-                labels[int(v)] = rest[0] if rest else ""
+                v = int(v)
+                if not 0 <= v < n:
+                    raise ValueError(f"label for vertex {v} outside 0..{n - 1}")
+                labels[v] = rest[0] if rest else ""
             elif ln.startswith("#"):
                 continue
             else:
@@ -170,6 +175,7 @@ class Graph:
                 edges.append((int(u), int(v)))
         if len(edges) != m:
             raise ValueError(f"expected {m} edges, found {len(edges)}")
+        _reject_duplicate_edges(edges)
         return Graph.from_edges(n, edges, side=side, labels=labels)
 
     def to_json(self) -> str:
@@ -185,12 +191,25 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         payload = json.loads(text)
+        edges = [tuple(e) for e in payload["edges"]]
+        _reject_duplicate_edges(edges)
         return Graph.from_edges(
             payload["n"],
-            [tuple(e) for e in payload["edges"]],
+            edges,
             side=payload.get("side"),
             labels=payload.get("labels"),
         )
+
+
+def _reject_duplicate_edges(edges: list[tuple[int, int]]) -> None:
+    # File formats list each edge once; from_edges itself merges repeats,
+    # which constructions such as weak_power rely on.
+    seen = set()
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add(key)
 
 
 def _inverse_list(perm: Perm) -> list[int]:
@@ -247,7 +266,8 @@ class AutResult:
     order: int
 
     def __post_init__(self):
-        assert self.order >= 1
+        if self.order < 1:
+            raise ValueError(f"group order must be at least 1, got {self.order}")
 
 
 class _Budget:
@@ -485,7 +505,8 @@ def automorphism_group(
     refined, _ = _refine(g.adj, cells, budget)
     gens, order = _stabilizer_search(g.adj, refined, budget)
     for p in gens:
-        assert _is_automorphism(g.adj, p)
+        if not _is_automorphism(g.adj, p):
+            raise RuntimeError(f"search returned a non-automorphism: {p}")
     return AutResult(generators=gens, order=order)
 
 

@@ -379,8 +379,11 @@ def max_fixed_ksets(n: int, k: int) -> tuple[int, tuple[int, ...]]:
             attained_by.append(ctype)
     if n > 4:
         expected = binomial(n - 2, k - 2) + binomial(n - 2, k)
-        assert best == expected, (best, expected)
-        assert attained_by == [transposition], attained_by
+        if best != expected or attained_by != [transposition]:
+            raise ArithmeticError(
+                f"max fixed {k}-subsets of [{n}]: found {best} attained by {attained_by}, "
+                f"theorem gives {expected} attained only by a transposition"
+            )
     return best, best_type
 
 

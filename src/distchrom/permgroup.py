@@ -1,8 +1,9 @@
 """Permutations on finite point sets and groups given by generators.
 
 A permutation is a plain tuple of images: ``p[i]`` is the image of point ``i``.
-Hot paths (closure, stabilizer chains) convert to ``bytes`` when the degree
-allows it, so that composition becomes a single ``bytes.translate`` call.
+Hot paths (stabilizer chains and the element lists read off them) convert to
+``bytes`` when the degree allows it, so that composition becomes a single
+``bytes.translate`` call.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from itertools import combinations
 from .algebra import binomial
 
 __all__ = [
-    "CapExceeded",
     "GroupSpec",
+    "MAX_ELEMENTS",
     "NotSetwiseStable",
     "Perm",
     "TooLarge",
-    "as_tuple",
     "closure",
     "colex_ksets",
     "compose",
@@ -34,11 +34,8 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-DEFAULT_CLOSURE_CAP = 10_000_000
-
-
-class CapExceeded(RuntimeError):
-    """Group enumeration grew past the requested cap."""
+# Largest group whose element list ``closure`` will build.
+MAX_ELEMENTS = 10_000_000
 
 
 class TooLarge(ValueError):
@@ -51,10 +48,6 @@ class NotSetwiseStable(ValueError):
 
 def identity(degree: int) -> Perm:
     return tuple(range(degree))
-
-
-def is_identity(p: Perm) -> bool:
-    return all(i == v for i, v in enumerate(p))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -84,69 +77,6 @@ def _check_perm(p: Perm) -> None:
         raise ValueError("not a permutation")
 
 
-def as_tuple(p) -> Perm:
-    """Normalize a permutation (tuple or bytes form) to an image tuple."""
-    return tuple(p)
-
-
-def closure(generators: list[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> list:
-    """Full element list of the generated group via breadth-first products.
-
-    The identity comes first; element order is otherwise the BFS discovery
-    order, which is deterministic for a fixed generator list.  Raises
-    CapExceeded once more than ``cap`` elements have been found.
-
-    For degree <= 256 the elements are returned as ``bytes`` image sequences
-    (indexable exactly like tuples, an order of magnitude smaller in memory,
-    and composable at C speed); larger degrees fall back to tuples.  Use
-    :func:`as_tuple` when a tuple form is needed.
-    """
-    if not generators:
-        raise ValueError("closure requires at least one generator")
-    degree = len(generators[0])
-    for g in generators:
-        if len(g) != degree:
-            raise ValueError("generators must share a degree")
-        _check_perm(g)
-    if degree <= 256:
-        tail = bytes(range(256))[degree:]
-        tables = [bytes(g) + tail for g in generators]
-        start = bytes(range(degree))
-        seen = {start}
-        order = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for t in tables:
-                    prod = cur.translate(t)
-                    if prod not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded(f"group exceeds cap={cap}")
-                        seen.add(prod)
-                        order.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return order
-    start_t = identity(degree)
-    seen_t = {start_t}
-    order_t = [start_t]
-    frontier_t = [start_t]
-    while frontier_t:
-        nxt_t = []
-        for cur in frontier_t:
-            for g in generators:
-                prod = tuple(g[x] for x in cur)
-                if prod not in seen_t:
-                    if len(seen_t) >= cap:
-                        raise CapExceeded(f"group exceeds cap={cap}")
-                    seen_t.add(prod)
-                    order_t.append(prod)
-                    nxt_t.append(prod)
-        frontier_t = nxt_t
-    return order_t
-
-
 class _Chain:
     """Incremental stabilizer chain (Schreier-Sims with sifting).
 
@@ -174,9 +104,9 @@ class _Chain:
             return bytes(p) + self._id[self.degree :]
         return p
 
-    def _unpack(self, e) -> Perm:
+    def _trim(self, e):
         if self._bytes:
-            return tuple(e[: self.degree])
+            return e[: self.degree]
         return e
 
     def _mul(self, a, b):
@@ -275,21 +205,74 @@ class _Chain:
             n *= len(trans)
         return n
 
+    def elements(self) -> list:
+        """Every group element, each once, as u_{m-1} * ... * u_1 * u_0.
 
-def schreier_sims_order(generators: list[Perm]) -> int:
+        u_i runs over level i's transversal and the product applies u_{m-1}
+        first.  Loops nest from level m-1 (outermost) down to level 0
+        (innermost); each partial product u_{m-1} * ... * u_i is formed once,
+        so level 0, usually the longest orbit, costs one multiplication per
+        element.  Every transversal starts with the identity, so the
+        identity comes first.
+        """
+        levels = [list(trans.values()) for trans in self.trans]
+        out: list = []
+        if levels:
+            self._products(levels, len(levels) - 1, self._id, out)
+        else:
+            out.append(self._trim(self._id))
+        return out
+
+    def _products(self, levels: list, lvl: int, prefix, out: list) -> None:
+        # A method, not a nested recursive closure: such a closure would form
+        # a reference cycle holding ``out`` alive until the cyclic collector
+        # runs, long after the caller has dropped the element list.
+        if lvl == 0:
+            head = self._trim(prefix)
+            if self._bytes:
+                out.extend(map(head.translate, levels[0]))
+            else:
+                out.extend([compose(head, u) for u in levels[0]])
+            return
+        for u in levels[lvl]:
+            self._products(levels, lvl - 1, self._mul(prefix, u), out)
+
+
+def _chain_of(generators: list[Perm]) -> _Chain:
     if not generators:
         raise ValueError("need at least one generator")
     degree = len(generators[0])
     chain = _Chain(degree)
     for g in generators:
+        if len(g) != degree:
+            raise ValueError("generators must share a degree")
         _check_perm(g)
         chain.insert(g)
-    return chain.order()
+    return chain
 
 
 def group_order(generators: list[Perm]) -> int:
-    """Exact group order via a stabilizer chain (no enumeration cap)."""
-    return schreier_sims_order(generators)
+    """Exact group order via a stabilizer chain, without enumeration."""
+    return _chain_of(generators).order()
+
+
+def closure(generators: list[Perm]) -> list:
+    """Full element list of the generated group, read off its stabilizer chain.
+
+    The identity comes first; the order is otherwise the chain's product
+    order (see ``_Chain.elements``), deterministic for a fixed generator
+    list.  Raises TooLarge, before any element is built, when the group
+    order exceeds MAX_ELEMENTS.
+
+    For degree <= 256 the elements are returned as ``bytes`` image sequences
+    (indexable exactly like tuples, an order of magnitude smaller in memory,
+    and composable at C speed); larger degrees fall back to tuples.
+    """
+    chain = _chain_of(generators)
+    order = chain.order()
+    if order > MAX_ELEMENTS:
+        raise TooLarge(f"group order {order} exceeds {MAX_ELEMENTS}")
+    return chain.elements()
 
 
 @dataclass
@@ -307,9 +290,9 @@ class GroupSpec:
             if len(g) != self.degree:
                 raise ValueError("generator degree mismatch")
 
-    def elements(self, cap: int = DEFAULT_CLOSURE_CAP) -> list[Perm]:
+    def elements(self) -> list[Perm]:
         if self._elements is None:
-            self._elements = closure(self.generators, cap=cap)
+            self._elements = closure(self.generators)
         return self._elements
 
     def order(self) -> int:

@@ -90,6 +90,15 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    for text in ("2 1\n5 0\n", "2 2\n0 1\n0 1\n", '{"n": 2, "edges": [[0, 1], [1, 0]]}'):
+        path.write_text(text)
+        code, _, err = run(capsys, "aut", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_motion_bound_commands(capsys):
     code, out, _ = run(capsys, "motion", "bound", "--family", "levi", "--q", "7", "--t", "2")
     assert code == 0

@@ -1,12 +1,17 @@
 """Graph type, text/JSON formats, predicates, and the automorphism search."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from distchrom.families import kneser_complement, levi_graph, pgl3_action, slope_graph, weak_power
 from distchrom.graphcore import (
+    AutResult,
     Graph,
     SearchTimeout,
     automorphism_group,
@@ -44,6 +49,37 @@ def test_graph_validation():
         Graph(n=2, adj=(0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):
         Graph.from_edges(4, [(0, 1), (2, 3)], side=[0, 1, 0, 0])  # same-side edge
+
+
+def test_edge_list_validation():
+    with pytest.raises(ValueError, match="outside"):
+        Graph.from_edges(2, [(5, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        Graph.from_edges(3, [(-1, 2)])
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.from_text("2 2\n0 1\n0 1\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.from_json('{"n": 3, "edges": [[0, 1], [1, 0]]}')
+    with pytest.raises(ValueError, match="label"):
+        Graph.from_text("2 0\n#label 5 x\n")
+    # constructions may pass repeated edges straight to from_edges
+    assert Graph.from_edges(2, [(0, 1), (1, 0)]).m == 1
+
+
+def test_aut_result_order_check_survives_optimize():
+    with pytest.raises(ValueError):
+        AutResult(generators=[], order=0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from distchrom.graphcore import AutResult\n"
+        "try:\n"
+        "    AutResult(generators=[], order=0)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
 
 
 def test_text_round_trip():

@@ -323,3 +323,12 @@ def test_excess_bounded_by_max_fixed_form():
         perm_from_cycles(4, [(0, 2)]),
     ]
     assert _excess_bounded_by_f_form(exact_expected_fixers([0, 2], stab, 2))
+
+
+def test_package_exposes_motion_module():
+    import distchrom
+
+    assert distchrom.motion.exact_expected_fixers is exact_expected_fixers
+    from distchrom import motion as motion_module
+
+    assert callable(motion_module.motion)

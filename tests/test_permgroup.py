@@ -2,16 +2,17 @@
 
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from distchrom.families import pgl3_action
 from distchrom.permgroup import (
-    CapExceeded,
     GroupSpec,
     NotSetwiseStable,
     TooLarge,
-    as_tuple,
     closure,
     compose,
     group_order,
@@ -31,7 +32,7 @@ def s_n_gens(n):
 def test_closure_small():
     els = closure([perm_from_cycles(2, [(0, 1)])])
     assert len(els) == 2
-    assert as_tuple(els[0]) == (0, 1)  # identity first
+    assert tuple(els[0]) == (0, 1)  # identity first
     assert len(closure(s_n_gens(4))) == 24
 
 
@@ -48,8 +49,53 @@ def test_closure_contains_identity_and_is_closed():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        closure(s_n_gens(6), cap=100)
+    # |S11| = 39916800 exceeds the enumeration limit; the chain knows the
+    # order up front, so the refusal comes before any element is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            closure(s_n_gens(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_closure_result_is_not_kept_alive():
+    # Nothing but the caller may hold the list: a hidden reference (say, a
+    # reference cycle through a nested helper) keeps every element in memory
+    # until the cyclic collector runs.
+    els = closure(s_n_gens(5))
+    assert sys.getrefcount(els) == 2  # the name above and the call's argument
+
+
+def test_closure_tuple_path_dihedral_300():
+    n = 300
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    els = closure([rotation, reflection])
+    assert all(type(e) is tuple for e in els)
+    assert els[0] == identity(n)
+    els_set = set(els)
+    assert len(els) == len(els_set) == 2 * n
+    for e in els:
+        for g in (rotation, reflection):
+            assert compose(e, g) in els_set
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [s_n_gens(5), induced_action_on_ksets(6, 2).generators, pgl3_action(2).generators],
+    ids=["S5", "S6-on-2-sets", "PGL(3,2)"],
+)
+def test_closure_matches_sympy(gens):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    group = PermutationGroup([Permutation(list(g)) for g in gens])
+    expected = {tuple(p.array_form) for p in group.generate()}
+    els = closure(gens)
+    assert len(els) == len(expected)
+    assert {tuple(e) for e in els} == expected
 
 
 def test_closure_size_divides_supergroup():
