@@ -3,7 +3,8 @@
 A coloring stores one color id per vertex, 1-based and contiguous: every id
 in 1..k occurs.  Distinguishing checks delegate to the partition-backtrack
 search seeded with the color classes, so the full automorphism group is never
-enumerated.
+enumerated, and the search stops at the first nontrivial class-preserving
+automorphism: a refutation needs one witness, not the whole subgroup.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphcore import Graph, SearchTimeout, color_preserving_automorphisms
+from .graphcore import Graph, SearchTimeout, _first_automorphism, _is_automorphism, _is_int
 from .permgroup import Perm
 
 __all__ = [
@@ -109,8 +110,14 @@ class Coloring:
         import json
 
         payload = json.loads(text)
-        c = Coloring(colors=tuple(payload["colors"]), k=payload["k"])
-        return c
+        if not isinstance(payload, dict):
+            raise ValueError("coloring JSON must be an object")
+        k, colors = payload.get("k"), payload.get("colors")
+        if not _is_int(k):
+            raise ValueError(f"coloring JSON 'k' must be an integer, got {k!r}")
+        if not (isinstance(colors, list) and all(map(_is_int, colors))):
+            raise ValueError("coloring JSON 'colors' must be a list of integers")
+        return Coloring(colors=tuple(colors), k=k)
 
     @staticmethod
     def from_text(text: str) -> "Coloring":
@@ -136,12 +143,20 @@ def is_distinguishing(g: Graph, c: Coloring) -> tuple[bool, Perm | None]:
     """Whether no nontrivial automorphism fixes every color class.
 
     Returns (True, None) or (False, witness) where the witness is a
-    nontrivial class-preserving automorphism.
+    nontrivial class-preserving automorphism.  The search stops at the first
+    such automorphism, which is the first generator of
+    ``color_preserving_automorphisms(g, c)``; the witness is checked here
+    before it is returned.
     """
-    result = color_preserving_automorphisms(g, c)
-    if result.order == 1:
+    witness = _first_automorphism(g, c.classes())
+    if witness is None:
         return True, None
-    witness = next(p for p in result.generators if any(i != v for i, v in enumerate(p)))
+    if all(i == v for i, v in enumerate(witness)):
+        raise RuntimeError("search returned the identity as a witness")
+    if not _is_automorphism(g.adj, witness):
+        raise RuntimeError(f"search returned a non-automorphism: {witness}")
+    if any(c.colors[w] != cv for w, cv in zip(witness, c.colors)):
+        raise RuntimeError(f"witness moves a vertex out of its color class: {witness}")
     return False, witness
 
 

@@ -5,7 +5,8 @@ vertex.  The automorphism machinery is a partition-backtrack search: iterated
 equitable (degree-count) refinement plus individualization with orbit pruning.
 It returns generators together with the exact group order, computed by
 orbit-stabilizer recursion, and optionally respects an initial partition whose
-cells must be stabilized setwise.
+cells must be stabilized setwise.  The same search can instead stop at its
+first generator, which is all a yes/no question about the group needs.
 """
 
 from __future__ import annotations
@@ -191,14 +192,31 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         payload = json.loads(text)
-        edges = [tuple(e) for e in payload["edges"]]
+        if not isinstance(payload, dict):
+            raise ValueError("graph JSON must be an object")
+        n = payload.get("n")
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"graph JSON 'n' must be a non-negative integer, got {n!r}")
+        raw_edges = payload.get("edges")
+        if not isinstance(raw_edges, list):
+            raise ValueError("graph JSON 'edges' must be a list")
+        for e in raw_edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+                raise ValueError(f"graph JSON edge must be a pair of integers, got {e!r}")
+        side, labels = payload.get("side"), payload.get("labels")
+        if side is not None and not (isinstance(side, list) and all(map(_is_int, side))):
+            raise ValueError("graph JSON 'side' must be a list of integers")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError("graph JSON 'labels' must be a list of strings")
+        edges = [tuple(e) for e in raw_edges]
         _reject_duplicate_edges(edges)
-        return Graph.from_edges(
-            payload["n"],
-            edges,
-            side=payload.get("side"),
-            labels=payload.get("labels"),
-        )
+        return Graph.from_edges(n, edges, side=side, labels=labels)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _reject_duplicate_edges(edges: list[tuple[int, int]]) -> None:
@@ -443,13 +461,18 @@ def _orbit_close(orbit: set[int], gens) -> set[int]:
     return orbit
 
 
-def _stabilizer_search(adj, cells, budget):
+def _stabilizer_search(adj, cells, budget, first):
     """Generators and order of the automorphisms fixing every cell setwise.
 
     ``cells`` must already be equitable.  Recursion: individualize the least
     vertex v of the target cell, compute its stabilizer, then find one mapping
     v -> u per candidate u; orbit-stabilizer gives the exact order and the
     candidates already inside the known orbit are pruned.
+
+    With ``first`` set the search returns ``([g], None)`` at its first
+    generator g, or ``([], 1)`` when the group is trivial.  It walks the same
+    tree in the same order up to that point, so g is the first generator the
+    full search would return.
     """
     idx = _target_cell(cells)
     if idx < 0:
@@ -457,7 +480,9 @@ def _stabilizer_search(adj, cells, budget):
     cell = cells[idx]
     v = cell[0]
     child, child_trace = _refine(adj, _individualize(cells, idx, v), budget)
-    gens, sub_order = _stabilizer_search(adj, child, budget)
+    gens, sub_order = _stabilizer_search(adj, child, budget, first)
+    if first and gens:
+        return gens, None
     child_shape = _shape(child)
     orbit = {v}
     for u in cell[1:]:
@@ -469,8 +494,30 @@ def _stabilizer_search(adj, cells, budget):
         found = _find_map(adj, child, t_child, budget)
         if found is not None:
             gens.append(found)
+            if first:
+                return gens, None
             _orbit_close(orbit, gens)
     return gens, len(orbit) * sub_order
+
+
+def _search(g: Graph, initial_partition, budget: _Budget, first: bool):
+    if g.n > MAX_VERTICES:
+        raise ValueError(f"graph too large: {g.n} > {MAX_VERTICES}")
+    if g.n == 0:
+        return [], 1
+    if initial_partition is None:
+        cells = [tuple(range(g.n))]
+    else:
+        cells = []
+        for c in initial_partition:
+            cc = tuple(sorted(c))
+            if cc:
+                cells.append(cc)
+        covered = sorted(v for c in cells for v in c)
+        if covered != list(range(g.n)):
+            raise ValueError("initial partition must cover every vertex exactly once")
+    refined, _ = _refine(g.adj, cells, budget)
+    return _stabilizer_search(g.adj, refined, budget, first)
 
 
 def automorphism_group(
@@ -486,28 +533,22 @@ def automorphism_group(
     each cell setwise.  Raises SearchTimeout when the refinement budget is
     exhausted; a timeout never yields a partial result.
     """
-    if g.n > MAX_VERTICES:
-        raise ValueError(f"graph too large: {g.n} > {MAX_VERTICES}")
-    if g.n == 0:
-        return AutResult(generators=[], order=1)
-    if initial_partition is None:
-        cells = [tuple(range(g.n))]
-    else:
-        cells = []
-        for c in initial_partition:
-            cc = tuple(sorted(c))
-            if cc:
-                cells.append(cc)
-        covered = sorted(v for c in cells for v in c)
-        if covered != list(range(g.n)):
-            raise ValueError("initial partition must cover every vertex exactly once")
-    budget = _Budget(budget_steps, budget_secs)
-    refined, _ = _refine(g.adj, cells, budget)
-    gens, order = _stabilizer_search(g.adj, refined, budget)
+    gens, order = _search(g, initial_partition, _Budget(budget_steps, budget_secs), False)
     for p in gens:
         if not _is_automorphism(g.adj, p):
             raise RuntimeError(f"search returned a non-automorphism: {p}")
     return AutResult(generators=gens, order=order)
+
+
+def _first_automorphism(g: Graph, initial_partition) -> Perm | None:
+    """First generator of ``automorphism_group(g, initial_partition)``.
+
+    None when that group is trivial.  The search stops at the generator, so
+    neither the group order nor the other generators are computed; callers
+    check the result themselves.
+    """
+    gens, _ = _search(g, initial_partition, _Budget(DEFAULT_NODE_BUDGET), True)
+    return gens[0] if gens else None
 
 
 def color_preserving_automorphisms(g: Graph, coloring) -> AutResult:

@@ -1,6 +1,10 @@
 """Command-line surface: formats, verdicts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from distchrom.cli import main
 from distchrom.coloring import Coloring, random_proper_coloring
@@ -97,6 +101,36 @@ def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
         code, _, err = run(capsys, "aut", str(path))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_json_inputs_with_wrong_value_types_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text('{"n": 2, "edges": [["a", 1]]}')
+    code, _, err = run(capsys, "aut", str(gpath))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    gpath.write_text(Graph.from_edges(2, [(0, 1)]).to_text())
+    cpath = tmp_path / "bad.coloring"
+    cpath.write_text('{"k": "2", "colors": [1, 2]}')
+    code, _, err = run(capsys, "verify", str(gpath), str(cpath))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_reproduce_weak_under_optimize(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    reports = []
+    for flags in (["-O"], []):
+        path = tmp_path / f"weak{len(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "distchrom.cli", "reproduce", "weak", "--out", str(path)],
+            env=env,
+        )
+        assert proc.returncode == 0
+        report = json.loads(path.read_text())
+        report.pop("timestamp")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_motion_bound_commands(capsys):

@@ -1,10 +1,18 @@
 """Coloring verification, exact chromatic searches, and the explicit colorings."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from distchrom import coloring, graphcore
 from distchrom.coloring import (
     CapExceeded,
     Coloring,
@@ -22,8 +30,17 @@ from distchrom.coloring import (
     random_proper_coloring,
     split_color_class,
 )
-from distchrom.families import kneser_complement, levi_graph, levi_order1, slope_graph, weak_power
+from distchrom.families import (
+    kneser_complement,
+    levi_graph,
+    levi_order1,
+    levi_tensor_krs,
+    slope_graph,
+    weak_power,
+)
 from distchrom.graphcore import Graph, color_preserving_automorphisms, is_automorphism
+from distchrom.recipes import DEFAULT_SEED
+from distchrom.seeds import derive_seed
 
 
 def complete_graph(n):
@@ -72,6 +89,103 @@ def test_is_distinguishing_matches_subgroup_order():
         c = Coloring.from_sequence([rng.randrange(1, 5) for _ in range(g.n)])
         ok, _ = is_distinguishing(g, c)
         assert ok == (color_preserving_automorphisms(g, c).order == 1)
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    colors = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return g, Coloring.from_sequence(colors)
+
+
+def nx_class_preserving_trivial(g, c):
+    h = nx.Graph()
+    h.add_nodes_from((v, {"color": c.colors[v]}) for v in range(g.n))
+    h.add_edges_from(g.edges())
+    matcher = GraphMatcher(h, h, node_match=lambda a, b: a["color"] == b["color"])
+    return len(list(itertools.islice(matcher.isomorphisms_iter(), 2))) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs())
+def test_is_distinguishing_matches_networkx_and_full_search(gc):
+    g, c = gc
+    ok, witness = is_distinguishing(g, c)
+    assert ok == nx_class_preserving_trivial(g, c)
+    if ok:
+        assert witness is None
+    else:
+        assert witness == color_preserving_automorphisms(g, c).generators[0]
+
+
+def test_slope_sweep_witnesses_match_full_search():
+    g, _ = slope_graph(5, [1, 2])
+    proved = refuted = 0
+    for c in enumerate_proper_colorings(g, 5):
+        ok, witness = is_distinguishing(g, c)
+        full = color_preserving_automorphisms(g, c)
+        assert ok == (full.order == 1)
+        if ok:
+            proved += 1
+            assert witness is None
+        else:
+            refuted += 1
+            assert witness == full.generators[0]
+    assert (proved, refuted) == (1200, 144)
+
+
+def test_decision_spends_a_fraction_of_the_full_search(monkeypatch):
+    budgets = []
+
+    class CountingBudget(graphcore._Budget):
+        def __init__(self, steps, secs=None):
+            super().__init__(steps, secs)
+            self.start = steps
+            budgets.append(self)
+
+    monkeypatch.setattr(graphcore, "_Budget", CountingBudget)
+    g, _ = levi_tensor_krs(5, 2, 2)
+    c = random_proper_coloring(g, 4, seed=derive_seed(DEFAULT_SEED, "krs4", 0))
+    ok, witness = is_distinguishing(g, c)
+    full = color_preserving_automorphisms(g, c)
+    decide, whole = (b.start - b.remaining for b in budgets)
+    assert not ok and witness == full.generators[0]
+    assert 5 * decide < whole
+
+
+@pytest.mark.parametrize("bad", ["identity", "non-automorphism", "mixes-classes"])
+def test_is_distinguishing_rejects_a_bad_witness(monkeypatch, bad):
+    # the 6-cycle colored 1,2,1,2,1,2: swapping 0 and 2 keeps the classes but
+    # breaks the edge 0-5, and the rotation by one step swaps the colors
+    g = cycle(6)
+    c = Coloring.from_sequence([1, 2, 1, 2, 1, 2])
+    fake = {"identity": (0, 1, 2, 3, 4, 5), "non-automorphism": (2, 1, 0, 3, 4, 5),
+            "mixes-classes": (1, 2, 3, 4, 5, 0)}[bad]
+    assert not is_distinguishing(g, c)[0]
+    monkeypatch.setattr(coloring, "_first_automorphism", lambda *_: fake)
+    with pytest.raises(RuntimeError):
+        is_distinguishing(g, c)
+
+
+def test_witness_checks_survive_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from distchrom import coloring\n"
+        "from distchrom.graphcore import Graph\n"
+        "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])\n"
+        "c = coloring.Coloring.from_sequence([1, 2, 2, 1])\n"
+        "coloring._first_automorphism = lambda *_: (0, 1, 2, 3)\n"
+        "try:\n"
+        "    coloring.is_distinguishing(g, c)\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
 
 
 def test_chromatic_numbers():
