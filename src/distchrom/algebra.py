@@ -14,8 +14,7 @@ from functools import lru_cache
 __all__ = [
     "BigRational",
     "FiniteField",
-    "InvalidInput",
-    "UnsupportedOrder",
+    "InvalidParameters",
     "binomial",
     "field_new",
     "is_prime",
@@ -30,12 +29,8 @@ MAX_FIELD_ORDER = 16
 MAX_PARTITION_ARG = 10_000
 
 
-class UnsupportedOrder(ValueError):
-    """Requested field order is not a prime power or exceeds the cap."""
-
-
-class InvalidInput(ValueError):
-    pass
+class InvalidParameters(ValueError):
+    """An argument lies outside the domain the function is defined on."""
 
 
 def is_prime(n: int) -> bool:
@@ -189,7 +184,7 @@ def field_new(q: int) -> FiniteField:
     """Construct (and exhaustively validate) the field of order q <= 16."""
     pk = is_prime_power(q)
     if pk is None or q > MAX_FIELD_ORDER:
-        raise UnsupportedOrder(f"q={q} is not a prime power <= {MAX_FIELD_ORDER}")
+        raise InvalidParameters(f"q={q} is not a prime power <= {MAX_FIELD_ORDER}")
     p, n = pk
     if n == 1:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
@@ -225,7 +220,7 @@ def field_new(q: int) -> FiniteField:
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; zero when k > n or k < 0."""
     if n < 0:
-        raise InvalidInput("binomial requires n >= 0")
+        raise InvalidParameters("binomial requires n >= 0")
     if k < 0 or k > n:
         return 0
     import math
@@ -239,7 +234,7 @@ _partition_cache: list[int] = [1]
 def partition_count(n: int) -> int:
     """Number of integer partitions of n, by the pentagonal-number recurrence."""
     if n < 0 or n > MAX_PARTITION_ARG:
-        raise InvalidInput(f"partition_count requires 0 <= n <= {MAX_PARTITION_ARG}")
+        raise InvalidParameters(f"partition_count requires 0 <= n <= {MAX_PARTITION_ARG}")
     while len(_partition_cache) <= n:
         m = len(_partition_cache)
         total = 0
@@ -261,7 +256,7 @@ def partition_count(n: int) -> int:
 def least_prime_divisor(n: int) -> int:
     """Smallest prime dividing n (trial division; n arises as a group order)."""
     if n < 2:
-        raise InvalidInput("least_prime_divisor requires n >= 2")
+        raise InvalidParameters("least_prime_divisor requires n >= 2")
     if n % 2 == 0:
         return 2
     d = 3

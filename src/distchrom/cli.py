@@ -25,15 +25,13 @@ SCHEMA = "distchrom.report/1"
 def _emit(payload: dict, args) -> None:
     payload.setdefault("schema", SCHEMA)
     payload.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "tsv":
+    if args.format == "tsv":
         lines = [f"{k}\t{_scalar(v)}" for k, v in sorted(payload.items()) if k != "schema"]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -80,8 +78,7 @@ def _build_family(args) -> graphcore.Graph:
 
 def cmd_family(args) -> int:
     g = _build_family(args)
-    fmt = args.format or "text"
-    text = g.to_json() + "\n" if fmt == "json" else g.to_text()
+    text = g.to_json() + "\n" if args.format == "json" else g.to_text()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -145,7 +142,8 @@ def cmd_verify(args) -> int:
         text = fh.read()
     c = col.Coloring.from_json(text) if text.lstrip().startswith("{") else col.Coloring.from_text(text)
     proper = col.is_proper(g, c)
-    distinguishing, witness = (False, None)
+    # the verdict is defined for proper colorings only; an improper one gets null
+    distinguishing, witness = (None, None)
     if proper:
         distinguishing, witness = col.is_distinguishing(g, c)
     _emit(
@@ -241,13 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--budget-nodes", type=int, default=graphcore.DEFAULT_NODE_BUDGET)
-        p.add_argument("--budget-secs", type=float, default=None)
-        p.add_argument("--threads", type=int, default=1)
+    def common(p, formats=("json", "tsv")):
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, choices=["json", "tsv", "text"], default=fmt_default)
+        p.add_argument("--format", type=str, choices=formats, default=formats[0])
 
     p_fam = sub.add_parser("family", help="construct a named graph family")
     p_fam.add_argument("family_name", choices=["levi", "lg1", "kneser", "gs", "weakpower", "krs"])
@@ -257,11 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--r", type=int, default=3)
     p_fam.add_argument("--s", type=int, default=2)
     p_fam.add_argument("--slopes", type=str, default="1,2")
-    common(p_fam, fmt_default="text")
+    common(p_fam, formats=("text", "json"))
     p_fam.set_defaults(func=cmd_family)
 
     p_aut = sub.add_parser("aut", help="automorphism group of a graph file")
     p_aut.add_argument("graph")
+    p_aut.add_argument("--budget-nodes", type=int, default=graphcore.DEFAULT_NODE_BUDGET)
+    p_aut.add_argument("--budget-secs", type=float, default=None)
     common(p_aut)
     p_aut.set_defaults(func=cmd_aut)
 
@@ -273,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chid = sub.add_parser("chid", help="exact distinguishing chromatic number")
     p_chid.add_argument("graph")
     p_chid.add_argument("--max-k", type=int, default=None)
+    p_chid.add_argument("--budget-nodes", type=int, default=graphcore.DEFAULT_NODE_BUDGET)
     common(p_chid)
     p_chid.set_defaults(func=cmd_chid)
 
@@ -294,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mot.add_argument("--t", type=int, default=2)
     p_mot.add_argument("--aut-order", type=int, default=6)
     p_mot.add_argument("--c1-size", type=int, default=1)
+    p_mot.add_argument("--threads", type=int, default=1)
     common(p_mot)
     p_mot.set_defaults(func=cmd_motion)
 
@@ -301,12 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("mode", choices=["montecarlo"])
     p_gs.add_argument("--q", type=int, default=13)
     p_gs.add_argument("--trials", type=int, default=50)
+    p_gs.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_gs.add_argument("--threads", type=int, default=1)
     common(p_gs)
     p_gs.set_defaults(func=cmd_gs_montecarlo)
 
     p_rep = sub.add_parser("reproduce", help="run a named verification recipe")
     p_rep.add_argument("recipe", choices=["levi", "lg1", "weak", "gs", "kneser", "krs", "appendix", "all"])
     p_rep.add_argument("--trials", type=int, default=None)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_rep.add_argument("--threads", type=int, default=1)
     common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -318,15 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        families.InvalidParameters,
-        col.InvalidParameters,
-        col.Infeasible,
-        col.InvalidBaseColoring,
-        ValueError,
-        OSError,
-        KeyError,
-    ) as exc:
+    except (col.Infeasible, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except graphcore.SearchTimeout as exc:

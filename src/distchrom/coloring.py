@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from .algebra import InvalidParameters
 from .graphcore import Graph, SearchTimeout, _first_automorphism, _is_automorphism, _is_int
 from .permgroup import Perm
 
@@ -21,7 +22,6 @@ __all__ = [
     "ChiDResult",
     "Coloring",
     "Infeasible",
-    "InvalidBaseColoring",
     "InvalidParameters",
     "chromatic_number",
     "distinguishing_chromatic_number",
@@ -36,19 +36,11 @@ __all__ = [
 ]
 
 
-class InvalidParameters(ValueError):
-    pass
-
-
 class CapExceeded(RuntimeError):
     """Coloring enumeration grew past the requested cap."""
 
 
 class Infeasible(RuntimeError):
-    pass
-
-
-class InvalidBaseColoring(ValueError):
     pass
 
 
@@ -495,13 +487,13 @@ def krs_plus_one_coloring(q: int, r: int, s: int, base3: Coloring) -> Coloring:
     graph, meta = levi_tensor_krs(q, r, s)
     n1 = meta.plane_size
     if len(base3.colors) != 2 * n1 or base3.k != 3:
-        raise InvalidBaseColoring("base coloring must 3-color the incidence graph")
+        raise InvalidParameters("base coloring must 3-color the incidence graph")
     line_colors = {base3.colors[n1 + l] for l in range(n1)}
     if len(line_colors) != 1:
-        raise InvalidBaseColoring("line side must be monochromatic in the base coloring")
+        raise InvalidParameters("line side must be monochromatic in the base coloring")
     point_colors = sorted({base3.colors[p] for p in range(n1)})
     if len(point_colors) != 2 or line_colors & set(point_colors):
-        raise InvalidBaseColoring("points must use exactly the two non-line colors")
+        raise InvalidParameters("points must use exactly the two non-line colors")
     first_point_color = point_colors[0]
     colors = [0] * meta.n
     for p in range(n1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteField, binomial, field_new, is_prime
+from .algebra import FiniteField, InvalidParameters, binomial, field_new, is_prime
 from .graphcore import Graph
 from .permgroup import GroupSpec, Perm, TooLarge, colex_ksets, perm_from_cycles
 
@@ -35,10 +35,6 @@ __all__ = [
     "weak_product",
     "INFINITY",
 ]
-
-
-class InvalidParameters(ValueError):
-    pass
 
 
 class _InfinitySlope:

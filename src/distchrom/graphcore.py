@@ -155,6 +155,7 @@ class Graph:
         if len(head) != 2:
             raise ValueError("header must be 'n m'")
         n, m = int(head[0]), int(head[1])
+        _check_vertex_count(n)
         edges = []
         side = None
         labels = None
@@ -197,6 +198,7 @@ class Graph:
         n = payload.get("n")
         if not _is_int(n) or n < 0:
             raise ValueError(f"graph JSON 'n' must be a non-negative integer, got {n!r}")
+        _check_vertex_count(n)
         raw_edges = payload.get("edges")
         if not isinstance(raw_edges, list):
             raise ValueError("graph JSON 'edges' must be a list")
@@ -217,6 +219,13 @@ class Graph:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_vertex_count(n: int) -> None:
+    # The file parsers call this on the header, before from_edges allocates
+    # n adjacency rows.
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
 
 
 def _reject_duplicate_edges(edges: list[tuple[int, int]]) -> None:
@@ -501,8 +510,7 @@ def _stabilizer_search(adj, cells, budget, first):
 
 
 def _search(g: Graph, initial_partition, budget: _Budget, first: bool):
-    if g.n > MAX_VERTICES:
-        raise ValueError(f"graph too large: {g.n} > {MAX_VERTICES}")
+    _check_vertex_count(g.n)
     if g.n == 0:
         return [], 1
     if initial_partition is None:

@@ -16,19 +16,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import binomial, least_prime_divisor, partition_count
+from .algebra import InvalidParameters, binomial, least_prime_divisor, partition_count
 from .coloring import Coloring, is_distinguishing, is_proper, split_color_class
 from .graphcore import Graph, SearchTimeout, automorphism_group
-from .permgroup import NotSetwiseStable, Perm
+from .permgroup import Perm
 from .seeds import derive_seed
 
 __all__ = [
-    "EmptyGroup",
     "ExhaustedTries",
     "HalfPowerBound",
     "InvalidParameters",
     "MotionReport",
-    "SingularMatrix",
     "exact_expected_fixers",
     "favorable_fraction",
     "levi_bound",
@@ -42,19 +40,7 @@ __all__ = [
 ]
 
 
-class EmptyGroup(ValueError):
-    pass
-
-
 class ExhaustedTries(RuntimeError):
-    pass
-
-
-class SingularMatrix(ValueError):
-    pass
-
-
-class InvalidParameters(ValueError):
     pass
 
 
@@ -149,7 +135,7 @@ def motion(elements: list[Perm]) -> int:
         if moved and (best is None or moved < best):
             best = moved
     if best is None:
-        raise EmptyGroup("no nontrivial element")
+        raise InvalidParameters("no nontrivial element")
     return best
 
 
@@ -171,7 +157,7 @@ def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool]:
         for v in pts:
             img = p[v]
             if img >= top or pos[img] < 0:
-                raise NotSetwiseStable(f"element moves {v} out of the class")
+                raise InvalidParameters(f"element moves {v} out of the class")
         theta = 0
         fixed = 0
         for v in pts:
@@ -211,7 +197,7 @@ def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) ->
     if t < 2:
         raise InvalidParameters("need t >= 2")
     if not elements:
-        raise EmptyGroup("need at least the identity")
+        raise InvalidParameters("need at least the identity")
     pts = sorted(set(c1))
     size = len(pts)
     top = max(pts) + 1
@@ -398,7 +384,7 @@ def slope_mobius(q: int, matrix: tuple[int, int, int, int], alpha):
 
     a, b, c, d = (x % q for x in matrix)
     if (a * d - b * c) % q == 0:
-        raise SingularMatrix("ad - bc must be nonzero")
+        raise InvalidParameters("ad - bc must be nonzero")
     if alpha is INFINITY:
         if b == 0:
             return INFINITY

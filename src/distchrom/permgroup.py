@@ -12,12 +12,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import binomial
+from .algebra import InvalidParameters, binomial
 
 __all__ = [
     "GroupSpec",
     "MAX_ELEMENTS",
-    "NotSetwiseStable",
     "Perm",
     "TooLarge",
     "closure",
@@ -40,10 +39,6 @@ MAX_ELEMENTS = 10_000_000
 
 class TooLarge(ValueError):
     pass
-
-
-class NotSetwiseStable(ValueError):
-    """A permutation moved a point of the subset outside the subset."""
 
 
 def identity(degree: int) -> Perm:
@@ -309,13 +304,13 @@ def orbit_count_on(perm: Perm, subset) -> tuple[int, int]:
 
     Returns (theta, fixed) where theta is the number of cycles the permutation
     induces inside the subset and fixed the number of its fixed points there.
-    Raises NotSetwiseStable if the subset is not mapped onto itself.
+    Raises InvalidParameters if the subset is not mapped onto itself.
     """
     pts = sorted(subset)
     inside = set(pts)
     for v in pts:
         if perm[v] not in inside:
-            raise NotSetwiseStable(f"point {v} maps outside the subset")
+            raise InvalidParameters(f"point {v} maps outside the subset")
     theta = 0
     fixed = 0
     seen: set[int] = set()
@@ -342,7 +337,7 @@ def colex_ksets(n: int, k: int) -> list[tuple[int, ...]]:
 def induced_action_on_ksets(n: int, k: int) -> GroupSpec:
     """The symmetric group on n letters acting on k-subsets, colex order."""
     if not 1 <= k < n:
-        raise TooLarge(f"need 1 <= k < n, got k={k}, n={n}")
+        raise InvalidParameters(f"need 1 <= k < n, got k={k}, n={n}")
     deg = binomial(n, k)
     if deg > 10**6:
         raise TooLarge(f"degree {deg} exceeds 10^6")
@@ -365,7 +360,7 @@ def wreath_action(base: GroupSpec, n: int) -> GroupSpec:
     """
     m = base.degree
     if m < 2 or n < 2:
-        raise TooLarge("need base degree >= 2 and n >= 2")
+        raise InvalidParameters("need base degree >= 2 and n >= 2")
     deg = m**n
     if deg > 10**6:
         raise TooLarge(f"degree {deg} exceeds 10^6")

@@ -6,8 +6,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from distchrom.algebra import (
-    InvalidInput,
-    UnsupportedOrder,
+    InvalidParameters,
     binomial,
     field_new,
     is_prime_power,
@@ -72,7 +71,7 @@ def test_gf4_generator_relation():
 
 def test_unsupported_orders():
     for q in (0, 1, 6, 10, 12, 14, 15, 17, 32):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(InvalidParameters, match="is not a prime power <= 16"):
             field_new(q)
 
 
@@ -94,7 +93,7 @@ def test_binomial_examples():
     assert binomial(4, 0) == 1
     assert binomial(4, 6) == 0
     assert binomial(4, -2) == 0
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidParameters, match="binomial requires n >= 0"):
         binomial(-1, 0)
 
 
@@ -108,9 +107,9 @@ def test_partition_examples():
     assert partition_count(2) == 2
     assert partition_count(6) == 11
     assert partition_count(100) == 190569292
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidParameters, match="partition_count requires 0 <= n <= 10000"):
         partition_count(-1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidParameters, match="partition_count requires 0 <= n <= 10000"):
         partition_count(10_001)
 
 
@@ -120,7 +119,7 @@ def test_least_prime_divisor():
     assert least_prime_divisor(15) == 3
     assert least_prime_divisor(49) == 7
     assert least_prime_divisor(97) == 97
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidParameters, match="least_prime_divisor requires n >= 2"):
         least_prime_divisor(1)
 
 
@@ -135,3 +134,26 @@ def test_rational_round_trip(a, b, c, d):
     y = Fraction(c, d)
     assert (x + y) - y == x
     assert x.denominator > 0
+
+
+def test_one_parameter_error_class():
+    import importlib
+    import pkgutil
+
+    import distchrom
+    from distchrom import algebra, coloring, families, motion, permgroup
+
+    for module in (coloring, families, motion, permgroup):
+        assert module.InvalidParameters is algebra.InvalidParameters
+    # every exception name in the package, aliases included, is one of these
+    kept = {"InvalidParameters", "TooLarge", "SearchTimeout", "CapExceeded", "Infeasible", "ExhaustedTries"}
+    for info in pkgutil.iter_modules(distchrom.__path__):
+        module = importlib.import_module(f"distchrom.{info.name}")
+        names = {
+            name
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, Exception)
+            and obj.__module__.startswith("distchrom")
+        }
+        assert names <= kept, (module.__name__, names - kept)

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from distchrom.cli import main
+import pytest
+
+from distchrom.cli import build_parser, main
 from distchrom.coloring import Coloring, random_proper_coloring
 from distchrom.families import kneser_complement, levi_graph
 from distchrom.graphcore import Graph
@@ -82,7 +84,10 @@ def test_verify_verdicts(tmp_path, capsys):
     cpath.write_text(bad.to_text())
     code, out, _ = run(capsys, "verify", str(gpath), str(cpath))
     assert code == 0
-    assert json.loads(out)["proper"] is False
+    payload = json.loads(out)
+    assert payload["proper"] is False
+    assert payload["distinguishing"] is None
+    assert payload["witness"] is None
 
 
 def test_verify_malformed_file(tmp_path, capsys):
@@ -96,11 +101,17 @@ def test_verify_malformed_file(tmp_path, capsys):
 
 def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
     path = tmp_path / "bad.graph"
-    for text in ("2 1\n5 0\n", "2 2\n0 1\n0 1\n", '{"n": 2, "edges": [[0, 1], [1, 0]]}'):
+    for text in (
+        "2 1\n5 0\n",
+        "2 2\n0 1\n0 1\n",
+        '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+        "2000000 0\n",
+    ):
         path.write_text(text)
         code, _, err = run(capsys, "aut", str(path))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 def test_json_inputs_with_wrong_value_types_exit_2(tmp_path, capsys):
@@ -192,3 +203,46 @@ def _write_graph(tmp_path):
     path = tmp_path / "p.graph"
     path.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_text())
     return path
+
+
+# A command line that parses, per subcommand, and the options each one reads.
+_BASE = {
+    "family": ["family", "levi"],
+    "aut": ["aut", "g.graph"],
+    "chi": ["chi", "g.graph"],
+    "chid": ["chid", "g.graph"],
+    "verify": ["verify", "g.graph", "c.coloring"],
+    "motion": ["motion", "bound", "--family", "levi"],
+    "gs": ["gs", "montecarlo", "--q", "5", "--trials", "1"],
+    "reproduce": ["reproduce", "weak"],
+}
+_VALUES = {"--seed": "1", "--budget-nodes": "5", "--budget-secs": "0.5", "--threads": "2"}
+_READS = {
+    "aut": ("--budget-nodes", "--budget-secs"),
+    "chid": ("--budget-nodes",),
+    "motion": ("--threads",),
+    "gs": ("--seed", "--threads"),
+    "reproduce": ("--seed", "--threads"),
+}
+_UNREAD = [
+    (cmd, opt, value)
+    for cmd in _BASE
+    for opt, value in _VALUES.items()
+    if opt not in _READS.get(cmd, ())
+] + [(cmd, "--format", "tsv" if cmd == "family" else "text") for cmd in _BASE]
+
+
+@pytest.mark.parametrize("cmd,opt,value", _UNREAD, ids=lambda x: x)
+def test_unread_options_are_rejected(cmd, opt, value):
+    build_parser().parse_args(_BASE[cmd])
+    with pytest.raises(SystemExit) as exc:
+        main([*_BASE[cmd], opt, value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "cmd,opt", [(cmd, opt) for cmd, opts in _READS.items() for opt in opts], ids=lambda x: x
+)
+def test_read_options_are_accepted(cmd, opt):
+    args = build_parser().parse_args([*_BASE[cmd], opt, _VALUES[opt]])
+    assert getattr(args, opt[2:].replace("-", "_")) == float(_VALUES[opt])

@@ -17,7 +17,6 @@ from distchrom.coloring import (
     CapExceeded,
     Coloring,
     Infeasible,
-    InvalidBaseColoring,
     InvalidParameters,
     chromatic_number,
     distinguishing_chromatic_number,
@@ -348,7 +347,7 @@ def test_gs_plus_one_coloring():
 
 def test_krs_plus_one_coloring_validation():
     lines_two_colors = Coloring.from_sequence([1] * 31 + [2] * 16 + [3] * 15)
-    with pytest.raises(InvalidBaseColoring):
+    with pytest.raises(InvalidParameters, match="line side must be monochromatic"):
         krs_plus_one_coloring(5, 2, 2, lines_two_colors)
     base = Coloring.from_sequence([1] * 16 + [2] * 15 + [3] * 31)
     c = krs_plus_one_coloring(5, 2, 2, base)

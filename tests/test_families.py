@@ -2,7 +2,6 @@
 
 import pytest
 
-from distchrom.algebra import UnsupportedOrder
 from distchrom.families import (
     INFINITY,
     InvalidParameters,
@@ -21,7 +20,7 @@ from distchrom.families import (
     weak_power,
     weak_product,
 )
-from distchrom.graphcore import Graph, is_automorphism, is_r_thin
+from distchrom.graphcore import Graph, automorphism_group, is_automorphism, is_r_thin
 from distchrom.permgroup import TooLarge, closure, group_order
 
 SUPPORTED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -65,7 +64,7 @@ def test_pg2_normalization_order():
     assert plane.points[0] == (1, 0, 0)
     assert plane.points[9] == (0, 1, 0)
     assert plane.points[-1] == (0, 0, 1)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(InvalidParameters, match="q=6 is not a prime power <= 16"):
         pg2(6)
 
 
@@ -244,3 +243,26 @@ def test_krs_matches_tensor_component():
     for l in range(31):
         for j in range(3):
             assert g.degree(meta.line_vertex(l, j)) == 2 * 6
+
+
+K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+FAMILY_GRAPHS = {
+    "levi2": lambda: levi_graph(2),
+    "levi3": lambda: levi_graph(3),
+    "levi4": lambda: levi_graph(4),
+    "lg1_2_6": lambda: levi_order1(2, 6),
+    "lg1_3_7": lambda: levi_order1(3, 7),
+    "kneser6_3": lambda: kneser_complement(6, 3),
+    "kneser7_3": lambda: kneser_complement(7, 3),
+    "weakpower_K3_4": lambda: weak_power(K3, 4),
+    "gs5": lambda: slope_graph(5, [1, 2])[0],
+    "gs7": lambda: slope_graph(7, [1, 2, 4])[0],
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_GRAPHS)
+def test_search_order_matches_schreier_sims(name):
+    # the search counts the order from orbit sizes; Schreier-Sims recomputes it
+    # from the returned generators alone
+    result = automorphism_group(FAMILY_GRAPHS[name]())
+    assert group_order(result.generators) == result.order

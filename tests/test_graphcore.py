@@ -62,6 +62,11 @@ def test_edge_list_validation():
         Graph.from_json('{"n": 3, "edges": [[0, 1], [1, 0]]}')
     with pytest.raises(ValueError, match="label"):
         Graph.from_text("2 0\n#label 5 x\n")
+    # the header's vertex count is checked before any adjacency is built
+    with pytest.raises(ValueError, match="graph too large: 2001 > 2000"):
+        Graph.from_text("2001 0\n")
+    with pytest.raises(ValueError, match="graph too large: 2001 > 2000"):
+        Graph.from_json('{"n": 2001, "edges": []}')
     # constructions may pass repeated edges straight to from_edges
     assert Graph.from_edges(2, [(0, 1), (1, 0)]).m == 1
 

@@ -11,10 +11,8 @@ from distchrom.coloring import Coloring, is_distinguishing, is_proper
 from distchrom.families import INFINITY, slope_of
 from distchrom.graphcore import Graph, automorphism_group
 from distchrom.motion import (
-    EmptyGroup,
     HalfPowerBound,
     InvalidParameters,
-    SingularMatrix,
     exact_expected_fixers,
     favorable_fraction,
     levi_bound,
@@ -26,7 +24,7 @@ from distchrom.motion import (
     slope_mobius,
     weak_bound,
 )
-from distchrom.permgroup import NotSetwiseStable, closure, perm_from_cycles
+from distchrom.permgroup import closure, perm_from_cycles
 
 
 def cycle(n):
@@ -42,7 +40,7 @@ def dihedral_c4():
 def test_motion_examples():
     s3 = closure([perm_from_cycles(3, [(0, 1)]), perm_from_cycles(3, [(0, 1, 2)])])
     assert motion(s3) == 2
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(InvalidParameters, match="no nontrivial element"):
         motion([bytes(range(5))])
 
 
@@ -84,11 +82,11 @@ def test_exact_expected_fixers_hand_computed():
 
 def test_exact_expected_fixers_errors():
     full_d4 = dihedral_c4()
-    with pytest.raises(NotSetwiseStable):
+    with pytest.raises(InvalidParameters, match="out of the class"):
         exact_expected_fixers([0, 2], full_d4, 2)
     with pytest.raises(InvalidParameters):
         exact_expected_fixers([0, 2], [tuple(range(4))], 1)
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(InvalidParameters, match="need at least the identity"):
         exact_expected_fixers([0, 2], [], 2)
 
 
@@ -215,7 +213,7 @@ def test_slope_mobius():
     assert slope_mobius(5, (1, 0, 0, 1), 3) == 3
     assert slope_mobius(5, (2, 0, 0, 2), INFINITY) is INFINITY
     assert slope_mobius(5, (0, 1, 1, 0), 2) == 3  # inversion sends 2 to 1/2 = 3 mod 5
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(InvalidParameters, match="ad - bc must be nonzero"):
         slope_mobius(5, (1, 2, 2, 4), 0)
 
 
