@@ -8,7 +8,6 @@ expected-fixer certificate machinery, all over exact arithmetic.
 
 from .algebra import BigRational, FiniteField, binomial, field_new, least_prime_divisor, partition_count
 from .coloring import (
-    CapExceeded,
     Coloring,
     chromatic_number,
     distinguishing_chromatic_number,

@@ -212,9 +212,7 @@ def cmd_motion(args) -> int:
 
 
 def cmd_gs_montecarlo(args) -> int:
-    report = favorable_fraction(
-        args.q, trials=args.trials, seed=args.seed, mode="montecarlo", threads=args.threads
-    )
+    report = favorable_fraction(args.q, trials=args.trials, seed=args.seed, threads=args.threads)
     report["command"] = "gs montecarlo"
     report["seed"] = args.seed
     _emit(report, args)

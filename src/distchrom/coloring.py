@@ -18,7 +18,6 @@ from .graphcore import Graph, SearchTimeout, _first_automorphism, _is_automorphi
 from .permgroup import Perm
 
 __all__ = [
-    "CapExceeded",
     "ChiDResult",
     "Coloring",
     "Infeasible",
@@ -36,8 +35,10 @@ __all__ = [
 ]
 
 
-class CapExceeded(RuntimeError):
-    """Coloring enumeration grew past the requested cap."""
+# Step limit of the exact clique and chromatic searches.
+SEARCH_BUDGET = 10**7
+# Greedy restarts before random_proper_coloring gives up.
+MAX_ATTEMPTS = 10**4
 
 
 class Infeasible(RuntimeError):
@@ -85,9 +86,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             out[c - 1].append(v)
         return out
-
-    def class_of(self, color: int) -> list[int]:
-        return [v for v, c in enumerate(self.colors) if c == color]
 
     def to_text(self) -> str:
         return "\n".join(f"{v} {c}" for v, c in enumerate(self.colors)) + "\n"
@@ -173,10 +171,10 @@ def _greedy_bound(g: Graph) -> int:
     return best
 
 
-def max_clique(g: Graph, budget: int = 10**7) -> list[int]:
+def max_clique(g: Graph) -> list[int]:
     """Exact maximum clique by branch and bound on candidate bitmasks."""
     best: list[int] = []
-    steps = [budget]
+    steps = [SEARCH_BUDGET]
 
     def grow(clique: list[int], candidates: int):
         nonlocal best
@@ -203,22 +201,22 @@ def max_clique(g: Graph, budget: int = 10**7) -> list[int]:
     return best
 
 
-def max_independent_set(g: Graph, budget: int = 10**7) -> list[int]:
+def max_independent_set(g: Graph) -> list[int]:
     comp = Graph(
         n=g.n,
         adj=tuple((~g.adj[v]) & ((1 << g.n) - 1) & ~(1 << v) for v in range(g.n)),
     )
-    return max_clique(comp, budget=budget)
+    return max_clique(comp)
 
 
-def _exists_coloring(g: Graph, k: int, budget: int) -> bool:
+def _exists_coloring(g: Graph, k: int) -> bool:
     """Whether a proper k-coloring exists; dynamic saturation-ordered search."""
     n = g.n
     if n == 0:
         return True
     colors = [0] * n
     adj = g.adj
-    steps = [budget]
+    steps = [SEARCH_BUDGET]
 
     def pick() -> int:
         best_v, best_key = -1, None
@@ -264,7 +262,7 @@ def _exists_coloring(g: Graph, k: int, budget: int) -> bool:
     return solve(0)
 
 
-def chromatic_number(g: Graph, budget: int = 10**7) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number via clique / independence lower bounds plus search."""
     if g.n == 0:
         return 0
@@ -274,45 +272,32 @@ def chromatic_number(g: Graph, budget: int = 10**7) -> int:
 
     if is_bipartite(g):
         return 2
-    lower = len(max_clique(g, budget=budget))
-    alpha = len(max_independent_set(g, budget=budget))
+    lower = len(max_clique(g))
+    alpha = len(max_independent_set(g))
     lower = max(lower, -(-g.n // alpha))
     upper = _greedy_bound(g)
     k = lower
     while k < upper:
-        if _exists_coloring(g, k, budget):
+        if _exists_coloring(g, k):
             return k
         k += 1
     return upper
 
 
-def enumerate_proper_colorings(
-    g: Graph, k: int, mode: str = "up_to_color_permutation", cap: int = 10**7
-) -> Iterator[Coloring]:
-    """Stream proper k-colorings in canonical vertex order.
+def enumerate_proper_colorings(g: Graph, k: int) -> Iterator[Coloring]:
+    """Stream proper k-colorings up to color permutation, in canonical vertex order.
 
-    ``up_to_color_permutation`` yields one representative per class partition
-    (a fresh color may only be opened in order); ``all`` yields every proper
-    surjective assignment onto 1..k.  Raises CapExceeded when more than
-    ``cap`` colorings would be emitted.
+    Yields one representative per class partition: a fresh color may only be
+    opened in order, so colors are numbered by first occurrence.
     """
-    if mode not in ("all", "up_to_color_permutation"):
-        raise InvalidParameters(f"unknown mode {mode!r}")
     n = g.n
     adj = g.adj
     colors = [0] * n
-    emitted = [0]
-
-    def emit() -> Coloring:
-        emitted[0] += 1
-        if emitted[0] > cap:
-            raise CapExceeded(f"more than {cap} colorings")
-        return Coloring(colors=tuple(colors), k=k)
 
     def rec(v: int, used: int):
         if v == n:
             if used == k:
-                yield emit()
+                yield Coloring(colors=tuple(colors), k=k)
             return
         forbidden = 0
         w = adj[v] & ((1 << v) - 1)
@@ -320,8 +305,7 @@ def enumerate_proper_colorings(
             u = (w & -w).bit_length() - 1
             forbidden |= 1 << colors[u]
             w &= w - 1
-        limit = min(k, used + 1) if mode == "up_to_color_permutation" else k
-        for c in range(1, limit + 1):
+        for c in range(1, min(k, used + 1) + 1):
             if (forbidden >> c) & 1:
                 continue
             # Prune when the remaining vertices cannot open enough new colors.
@@ -361,7 +345,7 @@ def distinguishing_chromatic_number(
     examined = 0
     for k in range(chi, max_k + 1):
         witnesses: list[tuple[Coloring, Perm]] = []
-        for c in enumerate_proper_colorings(g, k, mode="up_to_color_permutation"):
+        for c in enumerate_proper_colorings(g, k):
             examined += 1
             if examined > budget:
                 return ChiDResult(value=None, witness=None, lower_bound_certificates=certificates)
@@ -373,17 +357,17 @@ def distinguishing_chromatic_number(
     return ChiDResult(value=None, witness=None, lower_bound_certificates=certificates)
 
 
-def random_proper_coloring(g: Graph, k: int, seed: int, max_attempts: int = 10**4) -> Coloring:
+def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
     """Greedy proper coloring in a random vertex order with random feasible colors.
 
-    Restarts with a fresh order on dead ends, up to ``max_attempts`` times.
+    Restarts with a fresh order on dead ends, up to MAX_ATTEMPTS times.
     """
     rng = random.Random(seed)
     n = g.n
     adj = g.adj
     neighbor_lists = [g.neighbors(v) for v in range(n)]
     full = ((1 << k) - 1) << 1
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         order = list(range(n))
         rng.shuffle(order)
         colors = [0] * n
@@ -407,21 +391,19 @@ def random_proper_coloring(g: Graph, k: int, seed: int, max_attempts: int = 10**
                 forbidden[u] |= bit
         if ok:
             return Coloring.from_sequence(colors)
-    raise Infeasible(f"no proper {k}-coloring found in {max_attempts} attempts")
+    raise Infeasible(f"no proper {k}-coloring found in {MAX_ATTEMPTS} attempts")
 
 
 def split_color_class(c: Coloring, class_id: int, t: int, seed: int) -> Coloring:
     """Reassign one class i.i.d. uniformly over t fresh colors; others untouched.
 
-    Proper in, proper out: the split class was independent.  t=1 is the
-    identity transformation (kept for testing).
+    Proper in, proper out: the split class was independent.  With t=1 every
+    pick is the class itself, so the coloring comes back unchanged.
     """
     if t < 1:
         raise InvalidParameters("need t >= 1")
     if not 1 <= class_id <= c.k:
         raise InvalidParameters(f"class id {class_id} out of range")
-    if t == 1:
-        return c
     rng = random.Random(seed)
     colors = list(c.colors)
     for v in range(len(colors)):

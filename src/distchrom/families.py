@@ -67,9 +67,6 @@ class ProjectivePlane:
     def size(self) -> int:
         return len(self.points)
 
-    def point_index(self, p: tuple[int, int, int]) -> int:
-        return self.points.index(p)
-
     def line_index(self, l: tuple[int, int, int]) -> int:
         return self.lines.index(l)
 

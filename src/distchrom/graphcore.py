@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .permgroup import Perm
+from .permgroup import Perm, inverse
 
 __all__ = [
     "AutResult",
@@ -126,10 +126,10 @@ class Graph:
             adj[perm[u]] |= 1 << perm[v]
             adj[perm[v]] |= 1 << perm[u]
         side = None if self.side is None else tuple(
-            self.side[iv] for iv in _inverse_list(perm)
+            self.side[iv] for iv in inverse(perm)
         )
         labels = None if self.labels is None else tuple(
-            self.labels[iv] for iv in _inverse_list(perm)
+            self.labels[iv] for iv in inverse(perm)
         )
         return Graph(n=self.n, adj=tuple(adj), side=side, labels=labels)
 
@@ -224,6 +224,8 @@ def _is_int(x) -> bool:
 def _check_vertex_count(n: int) -> None:
     # The file parsers call this on the header, before from_edges allocates
     # n adjacency rows.
+    if n < 0:
+        raise ValueError(f"graph header: vertex count {n} is negative")
     if n > MAX_VERTICES:
         raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
 
@@ -237,13 +239,6 @@ def _reject_duplicate_edges(edges: list[tuple[int, int]]) -> None:
         if key in seen:
             raise ValueError(f"duplicate edge ({u},{v})")
         seen.add(key)
-
-
-def _inverse_list(perm: Perm) -> list[int]:
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return out
 
 
 def is_connected(g: Graph) -> bool:

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+# Random splits randomized_split_search draws before it gives up.
+MAX_TRIES = 1000
+
+
 class ExhaustedTries(RuntimeError):
     pass
 
@@ -254,7 +258,6 @@ def randomized_split_search(
     t: int,
     report: MotionReport,
     seed: int,
-    max_tries: int = 1000,
 ) -> Coloring:
     """Split one class at random until the coloring becomes distinguishing.
 
@@ -264,14 +267,14 @@ def randomized_split_search(
     """
     if not report.lemma_satisfied:
         raise InvalidParameters("certificate does not hold; search refused")
-    for i in range(max_tries):
+    for i in range(MAX_TRIES):
         candidate = split_color_class(c, class_id, t, seed=derive_seed(seed, "split", i))
         if not is_proper(g, candidate):
             continue
         ok, _ = is_distinguishing(g, candidate)
         if ok:
             return candidate
-    raise ExhaustedTries(f"no distinguishing split found in {max_tries} tries")
+    raise ExhaustedTries(f"no distinguishing split found in {MAX_TRIES} tries")
 
 
 def levi_bound(q: int, t: int) -> HalfPowerBound:
@@ -398,25 +401,18 @@ def slope_mobius(q: int, matrix: tuple[int, int, int, int], alpha):
 
 def _slope_aut_order(args) -> int | None:
     """Worker for one slope-set trial; None encodes a search timeout."""
-    q, s, budget_steps = args
+    q, s = args
     from .families import slope_graph
 
     graph, _ = slope_graph(q, s)
     try:
-        return automorphism_group(graph, budget_steps=budget_steps).order
+        return automorphism_group(graph).order
     except SearchTimeout:
         return None
 
 
-def favorable_fraction(
-    q: int,
-    trials: int = 50,
-    seed: int = 0,
-    mode: str = "montecarlo",
-    budget_steps: int = 10**8,
-    threads: int = 1,
-) -> dict:
-    """Sampled (or exhaustive) distribution of slope-graph symmetry orders.
+def favorable_fraction(q: int, trials: int = 50, seed: int = 0, threads: int = 1) -> dict:
+    """Sampled distribution of slope-graph symmetry orders.
 
     Each trial draws a slope set, runs the generic automorphism search, and
     records whether the order equals the baseline q^2(q-1) of scalings plus
@@ -425,21 +421,14 @@ def favorable_fraction(
     Timeouts are counted per trial, not raised.  ``threads`` > 1 spreads the
     independent trials over worker processes; results keep trial order.
     """
-    from itertools import combinations
-
-    if mode not in ("montecarlo", "exact_small"):
-        raise InvalidParameters(f"unknown mode {mode!r}")
     t = (q - 1) // 2
     baseline = q * q * (q - 1)
     bound_value = Fraction((q**2 - 1) * (q**2 - q) * 2 * partition_count(t), binomial(q, t))
-    if mode == "exact_small":
-        subsets = [list(s) for s in combinations(range(q), t)]
-    else:
-        subsets = []
-        for i in range(trials):
-            rng = random.Random(derive_seed(seed, "gs-sample", q, i))
-            subsets.append(sorted(rng.sample(range(q), t)))
-    jobs = [(q, s, budget_steps) for s in subsets]
+    subsets = []
+    for i in range(trials):
+        rng = random.Random(derive_seed(seed, "gs-sample", q, i))
+        subsets.append(sorted(rng.sample(range(q), t)))
+    jobs = [(q, s) for s in subsets]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -458,7 +447,7 @@ def favorable_fraction(
     equal = sum(1 for rec in sampled if rec["baseline"])
     return {
         "q": q,
-        "mode": mode,
+        "mode": "montecarlo",
         "baseline_order": baseline,
         "trials": done,
         "timeouts": timeouts,

@@ -9,7 +9,7 @@ Hot paths (stabilizer chains and the element lists read off them) convert to
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import InvalidParameters, binomial
@@ -272,13 +272,11 @@ def closure(generators: list[Perm]) -> list:
 
 @dataclass
 class GroupSpec:
-    """A permutation group given by generators, with lazy element enumeration."""
+    """A permutation group given by generators; elements are built on request."""
 
     degree: int
     generators: list[Perm]
     name: str = ""
-    _elements: list[Perm] | None = field(default=None, repr=False)
-    _order: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -286,17 +284,10 @@ class GroupSpec:
                 raise ValueError("generator degree mismatch")
 
     def elements(self) -> list[Perm]:
-        if self._elements is None:
-            self._elements = closure(self.generators)
-        return self._elements
+        return closure(self.generators)
 
     def order(self) -> int:
-        if self._order is None:
-            if self._elements is not None:
-                self._order = len(self._elements)
-            else:
-                self._order = group_order(self.generators)
-        return self._order
+        return group_order(self.generators)
 
 
 def orbit_count_on(perm: Perm, subset) -> tuple[int, int]:

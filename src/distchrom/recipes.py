@@ -78,7 +78,7 @@ def recipe_levi(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
         rep5.theta_bound_ok,
     )
     sides5 = col.Coloring.from_sequence([1] * 31 + [2] * 31)
-    base3 = _distinguishing_split(
+    _distinguishing_split(
         lg5, sides5, 1, 2, rep5, derive_seed(seed, "levi5-split"), checks,
         "levi5-split-3coloring",
         "random 2-split of the point class yields a verified distinguishing proper 3-coloring",
@@ -254,7 +254,7 @@ def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50, threads: int = 1) -> l
         total = 0
         line_colorings = 0
         distinguishing = 0
-        for c in col.enumerate_proper_colorings(g, 5, mode="up_to_color_permutation"):
+        for c in col.enumerate_proper_colorings(g, 5):
             total += 1
             if all(frozenset(cl) in line_sets for cl in c.classes()):
                 line_colorings += 1
@@ -379,7 +379,7 @@ def recipe_appendix(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     lg2 = families.levi_graph(2)
     three = 0
     three_dist = 0
-    for c in col.enumerate_proper_colorings(lg2, 3, mode="up_to_color_permutation"):
+    for c in col.enumerate_proper_colorings(lg2, 3):
         three += 1
         ok, _ = col.is_distinguishing(lg2, c)
         if ok:
@@ -388,7 +388,7 @@ def recipe_appendix(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
            "no proper 3-coloring of the order-2 incidence graph is distinguishing (exhaustive)",
            three_dist == 0, colorings=three, distinguishing=three_dist)
     four = None
-    for c in col.enumerate_proper_colorings(lg2, 4, mode="up_to_color_permutation"):
+    for c in col.enumerate_proper_colorings(lg2, 4):
         ok, _ = col.is_distinguishing(lg2, c)
         if ok:
             four = c

@@ -146,7 +146,7 @@ def test_one_parameter_error_class():
     for module in (coloring, families, motion, permgroup):
         assert module.InvalidParameters is algebra.InvalidParameters
     # every exception name in the package, aliases included, is one of these
-    kept = {"InvalidParameters", "TooLarge", "SearchTimeout", "CapExceeded", "Infeasible", "ExhaustedTries"}
+    kept = {"InvalidParameters", "TooLarge", "SearchTimeout", "Infeasible", "ExhaustedTries"}
     for info in pkgutil.iter_modules(distchrom.__path__):
         module = importlib.import_module(f"distchrom.{info.name}")
         names = {
@@ -157,3 +157,18 @@ def test_one_parameter_error_class():
             and obj.__module__.startswith("distchrom")
         }
         assert names <= kept, (module.__name__, names - kept)
+
+
+def test_no_assert_in_library():
+    # python -O strips assert statements, so no check in the package may rest on one
+    import ast
+    from pathlib import Path
+
+    import distchrom
+
+    sources = sorted(Path(distchrom.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

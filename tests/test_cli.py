@@ -101,17 +101,20 @@ def test_verify_malformed_file(tmp_path, capsys):
 
 def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
     path = tmp_path / "bad.graph"
-    for text in (
-        "2 1\n5 0\n",
-        "2 2\n0 1\n0 1\n",
-        '{"n": 2, "edges": [[0, 1], [1, 0]]}',
-        "2000000 0\n",
+    for text, reason in (
+        ("2 1\n5 0\n", "outside"),
+        ("2 2\n0 1\n0 1\n", "duplicate"),
+        ('{"n": 2, "edges": [[0, 1], [1, 0]]}', "duplicate"),
+        ("2000000 0\n", "too large"),
+        ("-1 0\n", "header"),
+        ("-3 0\n#label 0 x\n", "header"),
     ):
         path.write_text(text)
         code, _, err = run(capsys, "aut", str(path))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert err.count("\n") == 1
+        assert reason in err, (text, err)
 
 
 def test_json_inputs_with_wrong_value_types_exit_2(tmp_path, capsys):

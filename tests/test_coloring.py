@@ -14,7 +14,6 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from distchrom import coloring, graphcore
 from distchrom.coloring import (
-    CapExceeded,
     Coloring,
     Infeasible,
     InvalidParameters,
@@ -200,25 +199,29 @@ def test_chromatic_numbers():
 
 def test_enumerate_counts():
     k3 = complete_graph(3)
-    assert len(list(enumerate_proper_colorings(k3, 3, mode="up_to_color_permutation"))) == 1
-    assert len(list(enumerate_proper_colorings(k3, 3, mode="all"))) == 6
+    assert len(list(enumerate_proper_colorings(k3, 3))) == 1
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert len(list(enumerate_proper_colorings(p3, 2, mode="all"))) == 2
-    with pytest.raises(InvalidParameters):
-        list(enumerate_proper_colorings(k3, 3, mode="bogus"))
-    with pytest.raises(CapExceeded):
-        list(enumerate_proper_colorings(cycle(8), 3, mode="all", cap=3))
+    assert len(list(enumerate_proper_colorings(p3, 2))) == 1
+
+
+def _first_occurrence(assignment) -> tuple[int, ...]:
+    # Renumber colors in order of first appearance.  Coloring.from_sequence
+    # renumbers by sorted value instead, which is not a canonical form here.
+    rank: dict[int, int] = {}
+    return tuple(rank.setdefault(c, len(rank) + 1) for c in assignment)
 
 
 def test_enumerate_matches_brute_force():
-    g = cycle(5)
-    colorings = set()
-    for assignment in itertools.product(range(1, 4), repeat=5):
-        if all(assignment[u] != assignment[v] for u, v in g.edges()):
-            if set(assignment) == {1, 2, 3}:
-                colorings.add(assignment)
-    got = {c.colors for c in enumerate_proper_colorings(g, 3, mode="all")}
-    assert got == colorings
+    two_paths = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    for g, k in ((cycle(5), 3), (cycle(6), 3), (complete_graph(3), 3), (two_paths, 2), (two_paths, 3)):
+        colorings = set()
+        for assignment in itertools.product(range(1, k + 1), repeat=g.n):
+            if all(assignment[u] != assignment[v] for u, v in g.edges()):
+                if set(assignment) == set(range(1, k + 1)):
+                    colorings.add(_first_occurrence(assignment))
+        got = [c.colors for c in enumerate_proper_colorings(g, k)]
+        assert len(got) == len(set(got)), (g, k)
+        assert set(got) == colorings, (g, k)
 
 
 def test_slope_graph_five_classes_have_size_five():
@@ -226,7 +229,7 @@ def test_slope_graph_five_classes_have_size_five():
     # 5-coloring must meet each clique once: all classes have size exactly 5
     g, _ = slope_graph(5, [1, 2])
     count = 0
-    for c in enumerate_proper_colorings(g, 5, mode="up_to_color_permutation"):
+    for c in enumerate_proper_colorings(g, 5):
         assert all(len(cls) == 5 for cls in c.classes())
         count += 1
     assert count == 1344
@@ -259,7 +262,7 @@ def test_chid_cycle6_with_brute_oracle():
             dihedral.append(p)
     assert len(dihedral) == 12
     for k in (2, 3):
-        for c in enumerate_proper_colorings(c6, k, mode="up_to_color_permutation"):
+        for c in enumerate_proper_colorings(c6, k):
             fixing = [
                 p
                 for p in dihedral
@@ -290,7 +293,7 @@ def test_random_proper_coloring():
     assert seen == set(itertools.permutations((1, 2, 3)))
     assert random_proper_coloring(k3, 3, seed=9).colors == random_proper_coloring(k3, 3, seed=9).colors
     with pytest.raises(Infeasible):
-        random_proper_coloring(k3, 2, seed=0, max_attempts=20)
+        random_proper_coloring(k3, 2, seed=0)
     kc = kneser_complement(7, 3)
     c = random_proper_coloring(kc, 18, seed=1)
     assert is_proper(kc, c)

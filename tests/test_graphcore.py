@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from distchrom.families import kneser_complement, levi_graph, pgl3_action, slope_graph, weak_power
 from distchrom.graphcore import (
@@ -22,6 +25,7 @@ from distchrom.graphcore import (
     is_r_thin,
 )
 from distchrom.coloring import Coloring
+from distchrom.permgroup import group_order
 
 
 def complete_graph(n):
@@ -67,6 +71,8 @@ def test_edge_list_validation():
         Graph.from_text("2001 0\n")
     with pytest.raises(ValueError, match="graph too large: 2001 > 2000"):
         Graph.from_json('{"n": 2001, "edges": []}')
+    with pytest.raises(ValueError, match="graph header: vertex count -1 is negative"):
+        Graph.from_text("-1 0\n")
     # constructions may pass repeated edges straight to from_edges
     assert Graph.from_edges(2, [(0, 1), (1, 0)]).m == 1
 
@@ -130,6 +136,28 @@ def test_against_brute_force():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
         assert automorphism_group(g).order == brute_aut_count(g)
+
+
+@st.composite
+def small_graphs(draw):
+    # n <= 7: GraphMatcher needs about 0.65 s to list the 5040 maps of K7
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_order_matches_networkx_and_schreier_sims(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+    result = automorphism_group(g)
+    assert result.order == expected
+    if result.generators:
+        assert group_order(result.generators) == expected
 
 
 def test_generators_are_automorphisms():

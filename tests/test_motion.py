@@ -8,7 +8,7 @@ import pytest
 
 from distchrom.algebra import partition_count
 from distchrom.coloring import Coloring, is_distinguishing, is_proper
-from distchrom.families import INFINITY, slope_of
+from distchrom.families import INFINITY, slope_graph, slope_of
 from distchrom.graphcore import Graph, automorphism_group
 from distchrom.motion import (
     HalfPowerBound,
@@ -253,9 +253,14 @@ def test_lovasz_schrijver_sampled_q7():
 
 
 def test_favorable_fraction_exact_small_q5():
-    report = favorable_fraction(5, mode="exact_small")
-    assert report["trials"] == 10
-    # every slope pair at q=5 produces the same highly symmetric graph
+    # every slope pair at q=5 produces the same highly symmetric graph,
+    # never the baseline order q^2(q-1) = 100
+    pairs = list(itertools.combinations(range(5), 2))
+    assert len(pairs) == 10
+    for pair in pairs:
+        assert automorphism_group(slope_graph(5, pair)[0]).order == 28800, pair
+    report = favorable_fraction(5, trials=3, seed=0)
+    assert report["mode"] == "montecarlo" and report["baseline_order"] == 100
     assert report["fraction_equal"] == 0.0
     assert all(rec["aut_order"] == 28800 for rec in report["samples"])
     assert report["bound_value"] == Fraction(24 * 20 * 2 * partition_count(2), 10)
