@@ -91,9 +91,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
-
     def neg(self, a: int) -> int:
         row = self.add_table[a]
         return row.index(0)
@@ -105,15 +102,6 @@ class FiniteField:
         if a == 0:
             raise ZeroDivisionError("finite field inverse of zero")
         return self.inv_table[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
 
     @property
     def elements(self) -> range:

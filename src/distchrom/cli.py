@@ -30,6 +30,10 @@ def _emit(payload: dict, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -53,6 +57,10 @@ def _scalar(v) -> str:
     return str(v)
 
 
+def _complete_graph(r: int) -> graphcore.Graph:
+    return graphcore.Graph.from_edges(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
+
+
 def _build_family(args) -> graphcore.Graph:
     name = args.family_name
     if name == "levi":
@@ -66,10 +74,7 @@ def _build_family(args) -> graphcore.Graph:
         g, _ = families.slope_graph(args.q, slopes)
         return g
     if name == "weakpower":
-        base = graphcore.Graph.from_edges(
-            args.r, [(i, j) for i in range(args.r) for j in range(i + 1, args.r)]
-        )
-        return families.weak_power(base, args.n)
+        return families.weak_power(_complete_graph(args.r), args.n)
     if name == "krs":
         g, _ = families.levi_tensor_krs(args.q, args.r, args.s)
         return g
@@ -78,12 +83,7 @@ def _build_family(args) -> graphcore.Graph:
 
 def cmd_family(args) -> int:
     g = _build_family(args)
-    text = g.to_json() + "\n" if args.format == "json" else g.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(g.to_json() + "\n" if args.format == "json" else g.to_text(), args)
     return 0
 
 
@@ -190,10 +190,7 @@ def cmd_motion(args) -> int:
         group = induced_action_on_ksets(args.n, args.k)
         c1 = range(group.degree)
     elif args.family_name == "weakpower":
-        base = graphcore.Graph.from_edges(
-            args.r, [(i, j) for i in range(args.r) for j in range(i + 1, args.r)]
-        )
-        wp = families.weak_power(base, args.n)
+        wp = families.weak_power(_complete_graph(args.r), args.n)
         block = args.r ** (args.n - 1)
         factor = col.Coloring.from_classes(
             wp.n, [[v for v in range(wp.n) if v // block == i] for i in range(args.r)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteField, InvalidParameters, binomial, field_new, is_prime
 from .graphcore import Graph
-from .permgroup import GroupSpec, Perm, TooLarge, colex_ksets, perm_from_cycles
+from .permgroup import GroupSpec, Perm, TooLarge, block_images, colex_ksets, perm_from_cycles
 
 __all__ = [
     "FiberMeta",
@@ -131,52 +131,6 @@ def _mat_vec(f: FiniteField, m, v):
     )
 
 
-def _mat_mul(f: FiniteField, a, b):
-    return tuple(
-        tuple(
-            f.add(f.add(f.mul(a[i][0], b[0][j]), f.mul(a[i][1], b[1][j])), f.mul(a[i][2], b[2][j]))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _det3(f: FiniteField, m) -> int:
-    def mul3(a, b, c):
-        return f.mul(f.mul(a, b), c)
-
-    pos = f.add(f.add(mul3(m[0][0], m[1][1], m[2][2]), mul3(m[0][1], m[1][2], m[2][0])), mul3(m[0][2], m[1][0], m[2][1]))
-    neg = f.add(f.add(mul3(m[0][2], m[1][1], m[2][0]), mul3(m[0][0], m[1][2], m[2][1])), mul3(m[0][1], m[1][0], m[2][2]))
-    return f.sub(pos, neg)
-
-
-def _inv_transpose(f: FiniteField, m):
-    """Inverse transpose via the adjugate; requires det != 0."""
-    det = _det3(f, m)
-    if det == 0:
-        raise ValueError("singular matrix")
-    dinv = f.inv(det)
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        a = f.mul(m[rows[0]][cols[0]], m[rows[1]][cols[1]])
-        b = f.mul(m[rows[0]][cols[1]], m[rows[1]][cols[0]])
-        val = f.sub(a, b)
-        if (i + j) % 2 == 1:
-            val = f.neg(val)
-        return f.mul(dinv, val)
-
-    # adjugate^T applied: (M^-1)^T[i][j] = cof(i, j) / det
-    return tuple(tuple(cof(i, j) for j in range(3)) for i in range(3))
-
-
-# Companion-matrix coefficients (a0, a1, a2) of x^3 + a2 x^2 + a1 x + a0 used
-# together with one transvection to generate the full projective action; the
-# pair is validated by an order check in the tests, not trusted.
-_PGL_CUBIC: dict[int, tuple[int, int, int]] = {}
-
-
 def _companion(f: FiniteField, coeffs: tuple[int, int, int]):
     a0, a1, a2 = coeffs
     return (
@@ -207,17 +161,27 @@ def _first_irreducible_cubic(f: FiniteField) -> tuple[int, int, int]:
     raise RuntimeError("no irreducible cubic found")
 
 
-def _plane_perm_from_matrix(plane: ProjectivePlane, f: FiniteField, m) -> Perm:
-    mt_inv = _inv_transpose(f, m)
+def _collineation(plane: ProjectivePlane, f: FiniteField, image_of) -> Perm:
+    """Vertex map of levi_graph(q) induced by a map on homogeneous coordinates.
+
+    The line map follows from the point map: a line's image is the line
+    through the images of its points.
+    """
     pt_index = {p: i for i, p in enumerate(plane.points)}
-    ln_index = {l: i for i, l in enumerate(plane.lines)}
-    n1 = plane.size
-    images = [0] * (2 * n1)
-    for i, p in enumerate(plane.points):
-        images[i] = pt_index[_normalize(f, _mat_vec(f, m, p))]
-    for j, l in enumerate(plane.lines):
-        images[n1 + j] = n1 + ln_index[_normalize(f, _mat_vec(f, mt_inv, l))]
-    return tuple(images)
+    points = [pt_index[_normalize(f, image_of(p))] for p in plane.points]
+    # Points and lines share representatives and incidence is symmetric, so
+    # incidence[j] is also the point set of line j.
+    lines = block_images(plane.incidence, points)
+    return tuple(points) + tuple(plane.size + j for j in lines)
+
+
+def _pgl_generators(plane: ProjectivePlane, f: FiniteField) -> list[Perm]:
+    companion = _companion(f, _first_irreducible_cubic(f))
+    transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    return [
+        _collineation(plane, f, lambda v, m=m: _mat_vec(f, m, v))
+        for m in (companion, transvection)
+    ]
 
 
 def pgl3_action(q: int) -> GroupSpec:
@@ -227,18 +191,8 @@ def pgl3_action(q: int) -> GroupSpec:
     single transvection; the tests pin the resulting order to
     q^8 - q^6 - q^5 + q^3, which certifies that the pair generates.
     """
-    f = field_new(q)
     plane = pg2(q)
-    coeffs = _PGL_CUBIC.get(q)
-    if coeffs is None:
-        coeffs = _first_irreducible_cubic(f)
-        _PGL_CUBIC[q] = coeffs
-    singer = _companion(f, coeffs)
-    transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    gens = [
-        _plane_perm_from_matrix(plane, f, singer),
-        _plane_perm_from_matrix(plane, f, transvection),
-    ]
+    gens = _pgl_generators(plane, field_new(q))
     return GroupSpec(degree=2 * plane.size, generators=gens, name=f"PGL(3,{q})")
 
 
@@ -246,17 +200,9 @@ def pgammal3_action(q: int) -> GroupSpec:
     """pgl3_action extended by the entry-wise Frobenius collineation."""
     f = field_new(q)
     plane = pg2(q)
-    base = pgl3_action(q)
-    pt_index = {p: i for i, p in enumerate(plane.points)}
-    ln_index = {l: i for i, l in enumerate(plane.lines)}
-    n1 = plane.size
-    images = [0] * (2 * n1)
-    for i, p in enumerate(plane.points):
-        images[i] = pt_index[_normalize(f, tuple(f.frobenius[c] for c in p))]
-    for j, l in enumerate(plane.lines):
-        images[n1 + j] = n1 + ln_index[_normalize(f, tuple(f.frobenius[c] for c in l))]
-    gens = list(base.generators) + [tuple(images)]
-    return GroupSpec(degree=2 * n1, generators=gens, name=f"PGammaL(3,{q})")
+    frobenius = _collineation(plane, f, lambda v: tuple(f.frobenius[c] for c in v))
+    gens = _pgl_generators(plane, f) + [frobenius]
+    return GroupSpec(degree=2 * plane.size, generators=gens, name=f"PGammaL(3,{q})")
 
 
 def levi_order1(k: int, n: int) -> Graph:
@@ -341,9 +287,6 @@ class SlopeGraphMeta:
 
     def vertex(self, x: int, y: int) -> int:
         return x * self.q + y
-
-    def coords(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.q)
 
 
 def slope_of(q: int, u: tuple[int, int], v: tuple[int, int]):

@@ -400,10 +400,6 @@ def _individualize(cells, idx, v):
     return cells[:idx] + [(v,), rest] + cells[idx + 1 :]
 
 
-def _shape(cells) -> tuple[int, ...]:
-    return tuple(len(c) for c in cells)
-
-
 def _is_automorphism(adj, perm) -> bool:
     n = len(adj)
     for v in range(n):
@@ -442,10 +438,10 @@ def _find_map(adj, s_cells, t_cells, budget):
         return perm if _is_automorphism(adj, perm) else None
     v = s_cells[idx][0]
     s_child, s_trace = _refine(adj, _individualize(s_cells, idx, v), budget)
-    s_shape = _shape(s_child)
     for u in t_cells[idx]:
         t_child, t_trace = _refine(adj, _individualize(t_cells, idx, u), budget)
-        if t_trace != s_trace or _shape(t_child) != s_shape:
+        # Equal traces imply equal cell sizes: a trace lists each split's part sizes.
+        if t_trace != s_trace:
             continue
         found = _find_map(adj, s_child, t_child, budget)
         if found is not None:
@@ -487,13 +483,13 @@ def _stabilizer_search(adj, cells, budget, first):
     gens, sub_order = _stabilizer_search(adj, child, budget, first)
     if first and gens:
         return gens, None
-    child_shape = _shape(child)
     orbit = {v}
     for u in cell[1:]:
         if u in orbit:
             continue
         t_child, t_trace = _refine(adj, _individualize(cells, idx, u), budget)
-        if t_trace != child_trace or _shape(t_child) != child_shape:
+        # Equal traces imply equal cell sizes: a trace lists each split's part sizes.
+        if t_trace != child_trace:
             continue
         found = _find_map(adj, child, t_child, budget)
         if found is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import InvalidParameters, binomial
 
@@ -19,6 +19,7 @@ __all__ = [
     "MAX_ELEMENTS",
     "Perm",
     "TooLarge",
+    "block_images",
     "closure",
     "colex_ksets",
     "compose",
@@ -320,6 +321,28 @@ def orbit_count_on(perm: Perm, subset) -> tuple[int, int]:
     return theta, fixed
 
 
+def block_images(blocks, point_map: Perm) -> Perm:
+    """Index of each block's image under a map on points.
+
+    A block is a set of points given as a bitmask; ``point_map[x]`` is the
+    image of point x.  Raises InvalidParameters if the map does not permute
+    the blocks.
+    """
+    index = {b: i for i, b in enumerate(blocks)}
+    bits = [1 << y for y in point_map]
+    out = []
+    for b in blocks:
+        image = 0
+        while b:
+            low = b & -b
+            image |= bits[low.bit_length() - 1]
+            b ^= low
+        out.append(index.get(image))
+    if None in out or len(set(out)) != len(out):
+        raise InvalidParameters("the point map does not permute the blocks")
+    return tuple(out)
+
+
 def colex_ksets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of range(n) in colexicographic order."""
     return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
@@ -332,12 +355,9 @@ def induced_action_on_ksets(n: int, k: int) -> GroupSpec:
     deg = binomial(n, k)
     if deg > 10**6:
         raise TooLarge(f"degree {deg} exceeds 10^6")
-    subsets = colex_ksets(n, k)
-    index = {s: i for i, s in enumerate(subsets)}
+    blocks = [sum(1 << x for x in s) for s in colex_ksets(n, k)]
     sn_gens = [perm_from_cycles(n, [(0, 1)]), perm_from_cycles(n, [tuple(range(n))])]
-    gens = []
-    for g in sn_gens:
-        gens.append(tuple(index[tuple(sorted(g[x] for x in s))] for s in subsets))
+    gens = [block_images(blocks, g) for g in sn_gens]
     return GroupSpec(degree=deg, generators=gens, name=f"S{n} on {k}-sets")
 
 
@@ -360,16 +380,7 @@ def wreath_action(base: GroupSpec, n: int) -> GroupSpec:
     def tuple_index(t):
         return sum(x * w for x, w in zip(t, weights))
 
-    tuples = []
-
-    def fill(prefix):
-        if len(prefix) == n:
-            tuples.append(tuple(prefix))
-            return
-        for x in range(m):
-            fill(prefix + [x])
-
-    fill([])
+    tuples = list(product(range(m), repeat=n))
     gens: list[Perm] = []
     for g in base.generators:
         gens.append(tuple(tuple_index((g[t[0]],) + t[1:]) for t in tuples))

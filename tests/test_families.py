@@ -1,5 +1,7 @@
 """Family constructors: plane incidence, subset graphs, products, slope graphs."""
 
+import hashlib
+
 import pytest
 
 from distchrom.families import (
@@ -21,7 +23,16 @@ from distchrom.families import (
     weak_product,
 )
 from distchrom.graphcore import Graph, automorphism_group, is_automorphism, is_r_thin
-from distchrom.permgroup import TooLarge, closure, group_order
+from distchrom.permgroup import (
+    GroupSpec,
+    TooLarge,
+    block_images,
+    closure,
+    group_order,
+    induced_action_on_ksets,
+    perm_from_cycles,
+    wreath_action,
+)
 
 SUPPORTED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -118,6 +129,36 @@ def test_pgl_generators_preserve_levi(q):
     for gen in pgammal3_action(q).generators:
         assert is_automorphism(g, gen)
         assert all(gen[v] < n1 for v in range(n1))  # sides preserved
+
+
+# sha256 of repr() of the generator lists below.  It pins the generators, and
+# with them the element order that every exact certificate sums over.
+GENERATOR_DIGEST = "f3ce04fe55aec963e3454ba998499b6cb93ff179e4c1833857b63e1018399d2c"
+
+
+def test_generators_are_pinned():
+    gens = []
+    for q in SUPPORTED_ORDERS:
+        gens.append(pgl3_action(q).generators)
+        gens.append(pgammal3_action(q).generators)
+    for n, k in [(4, 2), (6, 2), (7, 3), (9, 4)]:
+        gens.append(induced_action_on_ksets(n, k).generators)
+    s3 = GroupSpec(degree=3, generators=[perm_from_cycles(3, [(0, 1)]), perm_from_cycles(3, [(0, 1, 2)])])
+    for n in range(2, 5):
+        gens.append(wreath_action(s3, n).generators)
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == GENERATOR_DIGEST
+
+
+def test_block_images_rejects_a_map_that_breaks_blocks():
+    plane = pg2(2)
+    identity = tuple(range(plane.size))
+    assert block_images(plane.incidence, identity) == identity
+    # A collineation of the Fano plane fixing five points is the identity, so
+    # a point transposition maps some line onto a non-line.
+    with pytest.raises(InvalidParameters, match="does not permute the blocks"):
+        block_images(plane.incidence, perm_from_cycles(plane.size, [(0, 1)]))
+    with pytest.raises(InvalidParameters, match="does not permute the blocks"):
+        block_images([0b01, 0b10], (0, 0))  # both blocks map onto the first
 
 
 def test_levi_order1():
