@@ -3,10 +3,12 @@
 Graphs are immutable, with adjacency stored as one Python int bitmask per
 vertex.  The automorphism machinery is a partition-backtrack search: iterated
 equitable (degree-count) refinement plus individualization with orbit pruning.
-It returns generators together with the exact group order, computed by
-orbit-stabilizer recursion, and optionally respects an initial partition whose
-cells must be stabilized setwise.  The same search can instead stop at its
-first generator, which is all a yes/no question about the group needs.
+Below the root each node refines from its individualized vertex alone, since
+the parent partition is already equitable.  The search returns generators
+together with the exact group order, computed by orbit-stabilizer recursion,
+and optionally respects an initial partition whose cells must be stabilized
+setwise.  The same search can instead stop at its first generator, which is
+all a yes/no question about the group needs.
 """
 
 from __future__ import annotations
@@ -316,14 +318,24 @@ class _Budget:
                     raise SearchTimeout("wall-clock budget exhausted")
 
 
-def _refine(adj, cells, budget):
+def _refine(adj, cells, splitters, budget):
     """Equitable refinement of an ordered partition.
 
-    ``cells`` is a list of ascending vertex tuples.  Cells are repeatedly
-    split by neighbor counts against splitter cells; subcells are ordered by
-    count value, so the procedure is equivariant under relabeling.  Returns
-    the refined cell list and a trace of (position, split signature) events
-    that two isomorphic configurations reproduce exactly.
+    ``cells`` is a list of ascending vertex tuples and ``splitters`` the
+    initial queue of splitter vertex masks.  Cells are repeatedly split by
+    neighbor counts against the queued splitters, and every new subcell joins
+    the queue; subcells are ordered by count value, so the procedure is
+    equivariant under relabeling.  Returns the refined cell list and a trace
+    of (position, split signature) events that two isomorphic configurations
+    reproduce exactly.
+
+    At the root the caller queues every cell, since the initial partition is
+    arbitrary.  Below it, ``_child`` individualizes a vertex v of an
+    equitable parent and queues only {v}.  That suffices: every parent cell
+    is uniform against every other one, so none of them would split anything
+    before {v} does, and once {v} has run, the rest of v's old cell is
+    uniform too (its counts are the old cell's minus {v}'s).  The cells and
+    the trace are exactly those of queueing every cell; only the work shrinks.
 
     Only non-singleton cells are visited (their positions are maintained
     incrementally) and the scan stops once the partition is discrete.
@@ -331,7 +343,7 @@ def _refine(adj, cells, budget):
     cells = list(cells)
     trace = []
     big = [i for i, c in enumerate(cells) if len(c) > 1]
-    queue = [_mask(c) for c in cells]
+    queue = list(splitters)
     qi = 0
     work = 0
     while qi < len(queue) and big:
@@ -394,10 +406,14 @@ def _target_cell(cells) -> int:
     return best
 
 
-def _individualize(cells, idx, v):
-    cell = cells[idx]
-    rest = tuple(x for x in cell if x != v)
-    return cells[:idx] + [(v,), rest] + cells[idx + 1 :]
+def _child(adj, cells, idx, v, budget):
+    """Individualize v in cell ``idx`` of an equitable partition, then refine.
+
+    Returns the refined cells and trace; the refinement starts from the one
+    splitter {v} (see ``_refine``).
+    """
+    rest = tuple(x for x in cells[idx] if x != v)
+    return _refine(adj, cells[:idx] + [(v,), rest] + cells[idx + 1 :], [1 << v], budget)
 
 
 def _is_automorphism(adj, perm) -> bool:
@@ -437,9 +453,9 @@ def _find_map(adj, s_cells, t_cells, budget):
         perm = tuple(images)
         return perm if _is_automorphism(adj, perm) else None
     v = s_cells[idx][0]
-    s_child, s_trace = _refine(adj, _individualize(s_cells, idx, v), budget)
+    s_child, s_trace = _child(adj, s_cells, idx, v, budget)
     for u in t_cells[idx]:
-        t_child, t_trace = _refine(adj, _individualize(t_cells, idx, u), budget)
+        t_child, t_trace = _child(adj, t_cells, idx, u, budget)
         # Equal traces imply equal cell sizes: a trace lists each split's part sizes.
         if t_trace != s_trace:
             continue
@@ -479,7 +495,7 @@ def _stabilizer_search(adj, cells, budget, first):
         return [], 1
     cell = cells[idx]
     v = cell[0]
-    child, child_trace = _refine(adj, _individualize(cells, idx, v), budget)
+    child, child_trace = _child(adj, cells, idx, v, budget)
     gens, sub_order = _stabilizer_search(adj, child, budget, first)
     if first and gens:
         return gens, None
@@ -487,7 +503,7 @@ def _stabilizer_search(adj, cells, budget, first):
     for u in cell[1:]:
         if u in orbit:
             continue
-        t_child, t_trace = _refine(adj, _individualize(cells, idx, u), budget)
+        t_child, t_trace = _child(adj, cells, idx, u, budget)
         # Equal traces imply equal cell sizes: a trace lists each split's part sizes.
         if t_trace != child_trace:
             continue
@@ -515,7 +531,7 @@ def _search(g: Graph, initial_partition, budget: _Budget, first: bool):
         covered = sorted(v for c in cells for v in c)
         if covered != list(range(g.n)):
             raise ValueError("initial partition must cover every vertex exactly once")
-    refined, _ = _refine(g.adj, cells, budget)
+    refined, _ = _refine(g.adj, cells, [_mask(c) for c in cells], budget)
     return _stabilizer_search(g.adj, refined, budget, first)
 
 

@@ -147,6 +147,21 @@ def test_reproduce_weak_under_optimize(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_import_leaves_hashlib_unloaded():
+    # hashlib maps OpenSSL; only derive_seed needs it, and it imports it itself
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = (
+        "import sys\n"
+        "import distchrom\n"
+        "assert 'hashlib' not in sys.modules\n"
+        "from distchrom.seeds import derive_seed\n"
+        "assert derive_seed(20260808, 'krs4', 0) == 11828094695301456695\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0
+
+
 def test_motion_bound_commands(capsys):
     code, out, _ = run(capsys, "motion", "bound", "--family", "levi", "--q", "7", "--t", "2")
     assert code == 0

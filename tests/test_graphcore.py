@@ -1,5 +1,6 @@
 """Graph type, text/JSON formats, predicates, and the automorphism search."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -12,8 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from distchrom.families import kneser_complement, levi_graph, pgl3_action, slope_graph, weak_power
+from distchrom.families import (
+    kneser_complement,
+    levi_graph,
+    levi_tensor_krs,
+    pgl3_action,
+    slope_graph,
+    weak_power,
+)
 from distchrom.graphcore import (
+    DEFAULT_NODE_BUDGET,
     AutResult,
     Graph,
     SearchTimeout,
@@ -23,9 +32,15 @@ from distchrom.graphcore import (
     is_bipartite,
     is_connected,
     is_r_thin,
+    _Budget,
+    _child,
+    _mask,
+    _refine,
 )
-from distchrom.coloring import Coloring
+from distchrom.coloring import Coloring, enumerate_proper_colorings, is_distinguishing, random_proper_coloring
 from distchrom.permgroup import group_order
+from distchrom.recipes import DEFAULT_SEED
+from distchrom.seeds import derive_seed
 
 
 def complete_graph(n):
@@ -245,3 +260,75 @@ def test_search_timeout_is_an_error():
     g = weak_power(complete_graph(3), 4)
     with pytest.raises(SearchTimeout):
         automorphism_group(g, budget_steps=50)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    # closing random edges under a drawn permutation keeps that permutation an
+    # automorphism, so the refined partition is seldom discrete
+    n = draw(st.integers(2, 12))
+    sigma = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = set()
+    for (u, v), k in zip(pairs, keep):
+        while k and (u, v) not in edges and (v, u) not in edges:
+            edges.add((u, v))
+            u, v = sigma[u], sigma[v]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_graphs(), st.data())
+def test_refining_from_the_individualized_vertex_matches_queueing_every_cell(g, data):
+    budget = _Budget(DEFAULT_NODE_BUDGET)
+    cells, _ = _refine(g.adj, [tuple(range(g.n))], [_mask(range(g.n))], budget)
+    # walk one branch of the search tree down to a discrete partition
+    while big := [i for i, c in enumerate(cells) if len(c) > 1]:
+        idx = data.draw(st.sampled_from(big))
+        v = data.draw(st.sampled_from(cells[idx]))
+        rest = tuple(x for x in cells[idx] if x != v)
+        individualized = cells[:idx] + [(v,), rest] + cells[idx + 1 :]
+        from_v = _child(g.adj, cells, idx, v, budget)
+        every_cell = _refine(g.adj, individualized, [_mask(c) for c in individualized], budget)
+        assert from_v == every_cell
+        cells = from_v[0]
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+# sha256 of repr((order, generators)), recorded while every search node still
+# queued every cell; refining from the individualized vertex must not move them
+PINNED_GROUPS = {
+    "levi2": (lambda: levi_graph(2), "19a65520c69eb7501e59756434a67ff7e498db8a8ed55208de2eba450e2672c4"),
+    "levi3": (lambda: levi_graph(3), "8424eb9f5a2ade711629ba73c9e75e9ce643bc456a75819ee300a0a1a7d59f40"),
+    "levi4": (lambda: levi_graph(4), "1c49863bf933e8bff226e33c1d7f64382ca032ba48c1227978444085b66aef88"),
+    "kneser6_3": (lambda: kneser_complement(6, 3), "a70c084f9fe2c38e09b64a4dc9d30a6d04144a8b1f1d48678f9f6fe73aaaa8f5"),
+    "gs5": (lambda: slope_graph(5, [1, 2])[0], "471e926da71ae679eb2f5417ff0d9c03f412ef5db85ca71a8dd123fb06e746c4"),
+    "gs7": (lambda: slope_graph(7, [1, 2, 4])[0], "58eecbefb94ca17d6a00e1efc24490a9c7f51bbbff98dbbc9d1140c12d4dae93"),
+    "weakpower_K3_3": (lambda: weak_power(complete_graph(3), 3), "1b0515b95703010b4317db3e3415a38a74e0bfb7b8fd79440ecbbadd0fefbed7"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_GROUPS)
+def test_search_output_is_pinned(name):
+    make, expected = PINNED_GROUPS[name]
+    result = automorphism_group(make())
+    assert _digest((result.order, result.generators)) == expected
+
+
+def test_distinguishing_verdicts_are_pinned():
+    # sha256 of repr() of the (verdict, witness) list, recorded like PINNED_GROUPS
+    g, _ = slope_graph(5, [1, 2])
+    sweep = [is_distinguishing(g, c) for c in itertools.islice(enumerate_proper_colorings(g, 5), 300)]
+    assert sum(ok for ok, _ in sweep) == 264
+    assert _digest(sweep) == "33d9ebcd4a9fb06c0e3659b1f8ce4dce04893d0f4428a7cd00bc7c42adedb47e"
+    g, _ = levi_tensor_krs(5, 2, 2)
+    krs = [
+        is_distinguishing(g, random_proper_coloring(g, 4, seed=derive_seed(DEFAULT_SEED, "krs4", i)))
+        for i in range(3)
+    ]
+    assert not any(ok for ok, _ in krs)
+    assert _digest(krs) == "c8c085d1aa1f9f64a690e106762d5a0a188dc5e52fd035b98b14a910b13a83b8"
