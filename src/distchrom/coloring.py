@@ -290,33 +290,70 @@ def enumerate_proper_colorings(g: Graph, k: int) -> Iterator[Coloring]:
     Yields one representative per class partition: a fresh color may only be
     opened in order, so colors are numbered by first occurrence.
     """
+    if k < 0:
+        raise InvalidParameters("need k >= 0")
+    return _colorings(g, k)
+
+
+def _colorings(g: Graph, k: int) -> Iterator[Coloring]:
+    """Depth-first search over vertices 0..n-1 with forward checking.
+
+    Every vertex keeps a bitmask domain of the colors its colored neighbours
+    leave open.  Coloring v with c clears bit c from the domains of v's later
+    neighbours, and the branch is cut as soon as one of them runs empty; the
+    domains are restored on backtrack.  Colors are tried in ascending order,
+    and a branch is also cut when too few vertices remain to open the missing
+    colors.  Only subtrees without a completion are cut, so the colorings
+    come out in the order of the plain search that checks each vertex
+    against its earlier neighbours.
+    """
     n = g.n
-    adj = g.adj
+    if n == 0:
+        if k == 0:
+            yield Coloring(colors=(), k=0)
+        return
+    later = [[u for u in g.neighbors(v) if u > v] for v in range(n)]
+    domain = [((1 << k) - 1) << 1] * n
     colors = [0] * n
-
-    def rec(v: int, used: int):
-        if v == n:
-            if used == k:
-                yield Coloring(colors=tuple(colors), k=k)
-            return
-        forbidden = 0
-        w = adj[v] & ((1 << v) - 1)
-        while w:
-            u = (w & -w).bit_length() - 1
-            forbidden |= 1 << colors[u]
-            w &= w - 1
-        for c in range(1, min(k, used + 1) + 1):
-            if (forbidden >> c) & 1:
-                continue
-            # Prune when the remaining vertices cannot open enough new colors.
-            new_used = max(used, c)
-            if k - new_used > n - v - 1:
-                continue
+    cand = [0] * n  # colors not yet tried at each depth
+    opened = [0] * n  # colors in use before each depth
+    cleared = [()] * n  # later neighbours whose domains lost colors[v]
+    cand[0] = domain[0] & ((2 << min(k, 1)) - 2)
+    v = 0
+    while v >= 0:
+        for u in cleared[v]:
+            domain[u] |= 1 << colors[v]
+        cleared[v] = ()
+        m = cand[v]
+        if not m:
+            v -= 1
+            continue
+        bit = m & -m
+        cand[v] = m ^ bit
+        c = bit.bit_length() - 1
+        used = max(opened[v], c)
+        if k - used > n - v - 1:
+            continue
+        hit = []
+        for u in later[v]:
+            d = domain[u]
+            if d & bit:
+                domain[u] = d ^ bit
+                hit.append(u)
+                if d == bit:
+                    break
+        else:
             colors[v] = c
-            yield from rec(v + 1, new_used)
-            colors[v] = 0
-
-    yield from rec(0, 0)
+            cleared[v] = hit
+            if v + 1 == n:
+                yield Coloring(colors=tuple(colors), k=k)
+            else:
+                v += 1
+                opened[v] = used
+                cand[v] = domain[v] & ((2 << min(k, used + 1)) - 2)
+            continue
+        for u in hit:
+            domain[u] |= bit
 
 
 @dataclass
@@ -360,36 +397,30 @@ def distinguishing_chromatic_number(
 def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
     """Greedy proper coloring in a random vertex order with random feasible colors.
 
-    Restarts with a fresh order on dead ends, up to MAX_ATTEMPTS times.
+    Each vertex draws uniformly from the ascending colors whose class has no
+    neighbour of it.  Restarts with a fresh order on dead ends, up to
+    MAX_ATTEMPTS times.
     """
+    if k < 0:
+        raise InvalidParameters("need k >= 0")
     rng = random.Random(seed)
     n = g.n
     adj = g.adj
-    neighbor_lists = [g.neighbors(v) for v in range(n)]
-    full = ((1 << k) - 1) << 1
+    ids = range(1, k + 1)
     for _ in range(MAX_ATTEMPTS):
         order = list(range(n))
         rng.shuffle(order)
         colors = [0] * n
-        forbidden = [0] * n
-        ok = True
+        members = [0] * (k + 1)  # members[c]: mask of the vertices colored c
         for v in order:
-            feasible_mask = full & ~forbidden[v]
-            if not feasible_mask:
-                ok = False
+            a = adj[v]
+            feasible = [c for c in ids if not members[c] & a]
+            if not feasible:
                 break
-            feasible = []
-            m = feasible_mask
-            while m:
-                low = m & -m
-                feasible.append(low.bit_length() - 1)
-                m ^= low
             c = rng.choice(feasible)
             colors[v] = c
-            bit = 1 << c
-            for u in neighbor_lists[v]:
-                forbidden[u] |= bit
-        if ok:
+            members[c] |= 1 << v
+        else:
             return Coloring.from_sequence(colors)
     raise Infeasible(f"no proper {k}-coloring found in {MAX_ATTEMPTS} attempts")
 

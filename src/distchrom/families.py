@@ -9,6 +9,7 @@ use colexicographic order; product vertices are row-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import FiniteField, InvalidParameters, binomial, field_new, is_prime
 from .graphcore import Graph
@@ -319,8 +320,14 @@ def slope_graph(q: int, slopes) -> tuple[Graph, SlopeGraphMeta]:
                 for y2 in range(q):
                     if ((y2 - y1) * inv_dx) % q in s:
                         edges.append((v1, meta.vertex(x2, y2)))
-    labels = [f"v:{x},{y}" for x in range(q) for y in range(q)]
-    return Graph.from_edges(q * q, edges, labels=labels), meta
+    return Graph.from_edges(q * q, edges, labels=_grid_labels(q)), meta
+
+
+@lru_cache(maxsize=None)
+def _grid_labels(q: int) -> tuple[str, ...]:
+    # One shared tuple per q: at q = 13 the 169 label strings take about as
+    # much memory as the adjacency, and every slope graph of order q has them.
+    return tuple(f"v:{x},{y}" for x in range(q) for y in range(q))
 
 
 def affine_line_partition(q: int, alpha) -> list[list[int]]:

@@ -295,6 +295,14 @@ class AutResult:
 
 
 class _Budget:
+    """Step and wall-clock limit of one search.
+
+    Steps count scanning work: each ``_refine`` call pays one per input cell
+    for the scan that finds the non-singleton cells, plus the size of every
+    cell it scans against a splitter; each ``_find_map`` leaf pays n for its
+    automorphism check.
+    """
+
     __slots__ = ("remaining", "deadline", "tick")
 
     def __init__(self, steps: int, secs: float | None = None):
@@ -345,7 +353,7 @@ def _refine(adj, cells, splitters, budget):
     big = [i for i, c in enumerate(cells) if len(c) > 1]
     queue = list(splitters)
     qi = 0
-    work = 0
+    work = len(cells)  # the scan that builds ``big``
     while qi < len(queue) and big:
         splitter = queue[qi]
         qi += 1
@@ -451,6 +459,7 @@ def _find_map(adj, s_cells, t_cells, budget):
         for sc, tc in zip(s_cells, t_cells):
             images[sc[0]] = tc[0]
         perm = tuple(images)
+        budget.spend(n)
         return perm if _is_automorphism(adj, perm) else None
     v = s_cells[idx][0]
     s_child, s_trace = _child(adj, s_cells, idx, v, budget)

@@ -1,5 +1,6 @@
 """Coloring verification, exact chromatic searches, and the explicit colorings."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -224,6 +225,65 @@ def test_enumerate_matches_brute_force():
         assert set(got) == colorings, (g, k)
 
 
+def _reference_colorings(g, k):
+    # The plain search the forward-checking enumerator replaced: each vertex,
+    # in order 0..n-1, is checked against its earlier neighbours only.
+    n = g.n
+    adj = g.adj
+    colors = [0] * n
+
+    def rec(v, used):
+        if v == n:
+            if used == k:
+                yield tuple(colors)
+            return
+        forbidden = 0
+        w = adj[v] & ((1 << v) - 1)
+        while w:
+            u = (w & -w).bit_length() - 1
+            forbidden |= 1 << colors[u]
+            w &= w - 1
+        for c in range(1, min(k, used + 1) + 1):
+            if (forbidden >> c) & 1:
+                continue
+            new_used = max(used, c)
+            if k - new_used > n - v - 1:
+                continue
+            colors[v] = c
+            yield from rec(v + 1, new_used)
+            colors[v] = 0
+
+    return list(rec(0, 0))
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(10), st.integers(0, 5))
+def test_enumerate_matches_the_reference_search_in_order(g, k):
+    assert [c.colors for c in enumerate_proper_colorings(g, k)] == _reference_colorings(g, k)
+
+
+def test_negative_color_counts_are_refused():
+    g = cycle(5)
+    with pytest.raises(InvalidParameters, match="need k >= 0"):
+        enumerate_proper_colorings(g, -1)
+    with pytest.raises(InvalidParameters, match="need k >= 0"):
+        random_proper_coloring(g, -1, seed=0)
+    empty = Graph.from_edges(0, [])
+    assert [c.colors for c in enumerate_proper_colorings(empty, 0)] == [()]
+    assert random_proper_coloring(empty, 0, seed=0).colors == ()
+    assert list(enumerate_proper_colorings(g, 0)) == []
+    with pytest.raises(Infeasible):
+        random_proper_coloring(Graph.from_edges(1, []), 0, seed=0)
+
+
 def test_slope_graph_five_classes_have_size_five():
     # the slope classes partition the grid into 5-cliques, so every proper
     # 5-coloring must meet each clique once: all classes have size exactly 5
@@ -297,6 +357,47 @@ def test_random_proper_coloring():
     kc = kneser_complement(7, 3)
     c = random_proper_coloring(kc, 18, seed=1)
     assert is_proper(kc, c)
+
+
+def _reference_sampler(g, k, seed):
+    # The sampler before the per-color class masks: one forbidden-color mask
+    # per vertex.  Only called with k above the maximum degree, where the
+    # first greedy pass never dead-ends.
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    colors = [0] * g.n
+    forbidden = [0] * g.n
+    full = ((1 << k) - 1) << 1
+    for v in order:
+        m = full & ~forbidden[v]
+        feasible = [c for c in range(1, k + 1) if (m >> c) & 1]
+        c = rng.choice(feasible)
+        colors[v] = c
+        for u in g.neighbors(v):
+            forbidden[u] |= 1 << c
+    return Coloring.from_sequence(colors).colors
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(12), st.integers(1, 3), st.integers(0, 2**64 - 1))
+def test_sampler_draws_match_the_reference(g, extra, seed):
+    k = max((g.degree(v) for v in range(g.n)), default=0) + extra
+    assert random_proper_coloring(g, k, seed).colors == _reference_sampler(g, k, seed)
+
+
+# sha256 of repr() of the drawn color tuples, recorded before the sampler kept
+# one vertex mask per color; every seed must still draw the same coloring
+SAMPLER_DIGEST = "f600e77ebb2fa6d5f5c65fb9cfbb341a739ae17a8b1c4bb47ff991a8a4cfb0b9"
+
+
+def test_sampler_draws_are_pinned():
+    kc = kneser_complement(7, 3)
+    krs, _ = levi_tensor_krs(5, 2, 2)
+    draws = [random_proper_coloring(kc, 18, seed=s).colors for s in range(50)]
+    draws += [random_proper_coloring(krs, 4, seed=derive_seed(DEFAULT_SEED, "krs4", i)).colors for i in range(5)]
+    draws += [random_proper_coloring(cycle(5), 3, seed=s).colors for s in range(50)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLER_DIGEST
 
 
 def test_split_color_class():

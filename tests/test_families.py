@@ -208,6 +208,8 @@ def test_slope_graph_basics():
     assert g.n == 25
     assert all(g.degree(v) == 8 for v in range(25))
     assert slope_of(5, (0, 0), (1, 2)) == 2
+    assert g.labels[0] == "v:0,0" and g.labels[7] == "v:1,2"
+    assert slope_graph(5, [1, 3])[0].labels is g.labels  # one label tuple per q
     assert slope_of(5, (1, 3), (1, 4)) is INFINITY
     with pytest.raises(InvalidParameters):
         slope_graph(5, [1])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from distchrom import graphcore
 from distchrom.families import (
     kneser_complement,
     levi_graph,
@@ -260,6 +261,32 @@ def test_search_timeout_is_an_error():
     g = weak_power(complete_graph(3), 4)
     with pytest.raises(SearchTimeout):
         automorphism_group(g, budget_steps=50)
+
+
+def test_step_budget_stops_the_krs_search():
+    # the leaf automorphism checks and the cell scans count as steps, so 10^6
+    # steps end this search in well under a second, long before the
+    # wall-clock limit that would fire if the steps stopped tracking time
+    g, _ = levi_tensor_krs(5, 2, 2)
+    with pytest.raises(SearchTimeout, match="refinement-step"):
+        automorphism_group(g, budget_steps=10**6, budget_secs=10)
+
+
+def test_each_refinement_is_charged_its_cell_count(monkeypatch):
+    charged = []
+    real = graphcore._refine
+
+    def counting(adj, cells, splitters, budget):
+        before = budget.remaining
+        out = real(adj, cells, splitters, budget)
+        charged.append((before - budget.remaining, len(cells)))
+        return out
+
+    monkeypatch.setattr(graphcore, "_refine", counting)
+    automorphism_group(levi_graph(2))
+    automorphism_group(kneser_complement(6, 3))
+    assert len(charged) > 100
+    assert all(spent >= size for spent, size in charged)
 
 
 @st.composite
