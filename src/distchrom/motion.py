@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 from .algebra import InvalidParameters, binomial, least_prime_divisor, partition_count
 from .coloring import Coloring, is_distinguishing, is_proper, split_color_class
@@ -143,92 +144,165 @@ def motion(elements: list[Perm]) -> int:
     return best
 
 
-def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool]:
-    """Per-chunk cycle statistics: (theta histogram, max fixed count, bound ok).
+def _burnside_terms(order: int) -> list[tuple[int, int]]:
+    """(d, phi(order / d)) for each divisor d < order of ``order``."""
+    terms = []
+    for d in range(1, order):
+        if order % d == 0:
+            m = order // d
+            terms.append((d, sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)))
+    return terms
 
-    Separate top-level function so thread pools can ship element slices to
-    workers; the reduction in the caller merges chunk results in slice order.
+
+def _class_arithmetic(pts: list[int], degree: int):
+    """Operations on restrictions to a class: bytes up to degree 256, else tuples.
+
+    A restriction lists the images of the class points ``cls`` in order, so
+    ``cls`` itself is the identity.  Returns (cls, extend, compose, invert,
+    fixed_count, identity): ``extend(p)`` turns an element into a table,
+    ``compose(q, table)[i] == table[q[i]]``, ``invert(q, cls)`` is a table
+    that sends each ``q[i]`` back to ``cls[i]`` and fixes every class point
+    ``q`` misses, ``fixed_count(q)`` counts the positions where ``q`` agrees
+    with ``cls``, and ``identity`` is the identity element as a table.
     """
-    elements, pts, top, pos = args
+    size = len(pts)
+    if degree <= 256:
+        cls = bytes(pts)
+        pad = bytes(range(degree, 256))
+        cls_int = int.from_bytes(cls, "little")
+
+        def extend(p):
+            return (p if type(p) is bytes else bytes(p)) + pad
+
+        def fixed_count(q):
+            return (int.from_bytes(q, "little") ^ cls_int).to_bytes(size, "little").count(0)
+
+        return cls, extend, bytes.translate, bytes.maketrans, fixed_count, bytes(range(256))
+    cls = tuple(pts)
+
+    def compose(q, table):
+        return tuple(map(table.__getitem__, q))
+
+    def invert(q, targets):
+        back = dict(zip(targets, targets))
+        back.update(zip(q, targets))
+        return back
+
+    def fixed_count(q):
+        return sum(map(eq, q, cls))
+
+    return cls, tuple, compose, invert, fixed_count, tuple(range(degree))
+
+
+def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
+    """Per-chunk cycle statistics: (theta histogram, max fixed count, bound ok, weight).
+
+    sigma is an element's restriction to the class.  p -> p^-1 is a
+    bijection of the group that sends sigma to sigma^-1, and p and p^-1 have
+    the same theta and the same fixed count, so only the element whose sigma
+    is not larger than its inverse is evaluated, with weight 2, or 1 when
+    sigma == sigma^-1.  The weights of a list closed under inverses sum to
+    its length; the caller checks the total over all chunks.  Theta, the
+    number of orbits of <sigma> on the class, follows from Burnside's lemma:
+    (1/o) * sum over d | o of phi(o/d) * fix(sigma^d), where o, the order of
+    sigma, is found by stepping through its powers.  Every element, skipped
+    or not, is checked to permute the class: sigma^-1 is computed as if it
+    did, and sigma(sigma^-1) is the identity exactly when it does.  Separate
+    top-level function so process pools can ship element slices to workers.
+    """
+    elements, pts, degree = args
+    cls, extend, compose, invert, fixed_count, identity = _class_arithmetic(pts, degree)
     size = len(pts)
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
-    seen = [0] * top
-    stamp = 0
+    weight = 0
+    terms: dict[int, list[tuple[int, int]]] = {}
     for p in elements:
-        stamp += 1
-        for v in pts:
-            img = p[v]
-            if img >= top or pos[img] < 0:
-                raise InvalidParameters(f"element moves {v} out of the class")
-        theta = 0
-        fixed = 0
-        for v in pts:
-            if seen[v] == stamp:
-                continue
-            theta += 1
-            if p[v] == v:
-                fixed += 1
-                seen[v] = stamp
-                continue
-            w = v
-            while seen[w] != stamp:
-                seen[w] = stamp
-                w = p[w]
+        table = extend(p)
+        sigma = compose(cls, table)
+        inverse = compose(cls, invert(sigma, cls))
+        if compose(inverse, table) != cls:
+            v = next((v for v in pts if p[v] not in cls), None)
+            if v is None:
+                raise InvalidParameters("element maps two class points to one point")
+            raise InvalidParameters(f"element moves {v} out of the class")
+        if inverse < sigma:
+            continue
+        w = 1 if inverse == sigma else 2
+        weight += w
+        powers = [sigma]
+        q = sigma
+        while q != cls:
+            q = compose(q, table)
+            powers.append(q)
+        order = len(powers)
+        if order not in terms:
+            terms[order] = _burnside_terms(order)
+        fixed = fixed_count(sigma)
+        total = size
+        for d, phi in terms[order]:
+            total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
+        theta = total // order
         if 2 * theta > fixed + size:
             theta_bound_ok = False
-        histogram[theta] = histogram.get(theta, 0) + 1
-        if fixed < size:
-            nontrivial = True
-        else:
-            nontrivial = any(i != v for i, v in enumerate(p))
-        if nontrivial and (f_max is None or fixed > f_max):
+        histogram[theta] = histogram.get(theta, 0) + w
+        if (fixed < size or table != identity) and (f_max is None or fixed > f_max):
             f_max = fixed
-    return histogram, f_max, theta_bound_ok
+    return histogram, f_max, theta_bound_ok, weight
 
 
 def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) -> MotionReport:
     """Exact expected number of elements fixing every class after a t-split.
 
     ``c1`` is the vertex set of the class to be split and ``elements`` the
-    full list of group elements, identity included; every element must
-    stabilize ``c1`` setwise.  The sum includes the identity's contribution
-    of exactly 1, and the per-element cycle bound 2*theta <= fixed + |c1| is
-    recorded as it is computed.  ``threads`` > 1 partitions the element list;
-    chunk results merge in slice order so the exact rational is unchanged.
+    full list of group elements, identity included, all of one degree; every
+    element must stabilize ``c1`` setwise and the list must be closed under
+    inverses.  The sum includes the identity's contribution of exactly 1, and
+    the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it is
+    computed.  ``theta_histogram`` is sorted by theta.  ``threads`` > 1
+    partitions the element list; the exact rational is unchanged.
     """
     if t < 2:
         raise InvalidParameters("need t >= 2")
     if not elements:
         raise InvalidParameters("need at least the identity")
     pts = sorted(set(c1))
+    if not pts:
+        raise InvalidParameters("the class is empty")
     size = len(pts)
-    top = max(pts) + 1
-    pos = [-1] * top
-    for i, v in enumerate(pts):
-        pos[v] = i
+    degree = len(elements[0])
+    if set(map(len, elements)) != {degree}:
+        raise InvalidParameters("elements must share a degree")
+    if pts[0] < 0 or pts[-1] >= degree:
+        bad = pts[0] if pts[0] < 0 else pts[-1]
+        raise InvalidParameters(f"class point {bad} is not a point of the degree-{degree} action")
     if threads > 1 and len(elements) > 1000:
         from concurrent.futures import ProcessPoolExecutor
 
         step = (len(elements) + threads - 1) // threads
         chunks = [elements[i : i + step] for i in range(0, len(elements), step)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_fixer_chunk, [(ch, pts, top, pos) for ch in chunks]))
+            parts = list(pool.map(_fixer_chunk, [(ch, pts, degree) for ch in chunks]))
     else:
-        parts = [_fixer_chunk((elements, pts, top, pos))]
+        parts = [_fixer_chunk((elements, pts, degree))]
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
-    for hist, fm, ok in parts:
+    weight = 0
+    for hist, fm, ok, w in parts:
         for theta, count in hist.items():
             histogram[theta] = histogram.get(theta, 0) + count
         if fm is not None and (f_max is None or fm > f_max):
             f_max = fm
         theta_bound_ok = theta_bound_ok and ok
+        weight += w
+    order = len(elements)
+    if weight != order:
+        raise InvalidParameters("element list is not closed under inverses")
+    histogram = dict(sorted(histogram.items()))
     numerator = sum(count * t**theta for theta, count in histogram.items())
     exact_en = Fraction(numerator, t**size)
-    order = len(elements)
     if order >= 2:
         lp = least_prime_divisor(order)
         lemma = exact_en < lp

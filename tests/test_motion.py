@@ -1,18 +1,25 @@
 """Certificate machinery: exact sums, closed-form bounds, slope action."""
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from distchrom.algebra import partition_count
+from distchrom.algebra import least_prime_divisor, partition_count
 from distchrom.coloring import Coloring, is_distinguishing, is_proper
 from distchrom.families import INFINITY, slope_graph, slope_of
 from distchrom.graphcore import Graph, automorphism_group
 from distchrom.motion import (
     HalfPowerBound,
     InvalidParameters,
+    MotionReport,
     exact_expected_fixers,
     favorable_fraction,
     levi_bound,
@@ -88,6 +95,15 @@ def test_exact_expected_fixers_errors():
         exact_expected_fixers([0, 2], [tuple(range(4))], 1)
     with pytest.raises(InvalidParameters, match="need at least the identity"):
         exact_expected_fixers([0, 2], [], 2)
+    with pytest.raises(InvalidParameters, match="the class is empty"):
+        exact_expected_fixers([], [bytes(range(3))], 2)
+    for c1 in ([0, 4], [-1, 0]):
+        with pytest.raises(InvalidParameters, match="not a point of the degree-4 action"):
+            exact_expected_fixers(c1, [tuple(range(4))], 2)
+    with pytest.raises(InvalidParameters, match="share a degree"):
+        exact_expected_fixers([0, 1], [(0, 1, 2, 3), (1, 0, 2, 3, 4)], 2)
+    with pytest.raises(InvalidParameters, match="two class points to one point"):
+        exact_expected_fixers([0, 1], [(0, 1, 2), (0, 0, 2)], 2)
 
 
 def test_exact_expected_fixers_threads_match():
@@ -95,15 +111,222 @@ def test_exact_expected_fixers_threads_match():
     stab = [p for p in els if set(p[v] for v in (0, 2)) == {0, 2}]
     seq = exact_expected_fixers([0, 2], stab, 2, threads=1)
     par = exact_expected_fixers([0, 2], stab, 2, threads=2)
-    # small list bypasses the pool, so force chunking through a bigger group
+    assert seq == par
+    # small lists bypass the pool, so force chunking through bigger groups:
+    # S7 on 2-sets, and S5 x S4 on two blocks split on the (relabelled)
+    # first block, a restriction that is not faithful
     from distchrom.permgroup import induced_action_on_ksets
 
-    spec = induced_action_on_ksets(7, 2)
-    els7 = spec.elements()
-    a = exact_expected_fixers(range(21), els7, 2, threads=1)
-    b = exact_expected_fixers(range(21), els7, 2, threads=3)
-    assert seq.exact_EN == par.exact_EN
-    assert a.exact_EN == b.exact_EN and a.theta_histogram == b.theta_histogram
+    els7 = induced_action_on_ksets(7, 2).elements()
+    rho = [(5 * i + 2) % 9 for i in range(9)]
+    gens = [
+        perm_from_cycles(9, [(0, 1)]),
+        perm_from_cycles(9, [(0, 1, 2, 3, 4)]),
+        perm_from_cycles(9, [(5, 6)]),
+        perm_from_cycles(9, [(5, 6, 7, 8)]),
+    ]
+    relabelled = [tuple(rho[g[rho.index(i)]] for i in range(9)) for g in gens]
+    cases = [(range(21), els7), ([rho[v] for v in range(5)], closure(relabelled))]
+    for c1, group in cases:
+        a = exact_expected_fixers(c1, group, 2, threads=1)
+        b = exact_expected_fixers(c1, group, 2, threads=3)
+        assert len(group) > 1000 and a == b == _reference_fixers(c1, group, 2)
+
+
+def _reference_fixer_chunk(args):
+    # The per-element cycle walk that the inverse-pair and Burnside kernel
+    # replaced, kept verbatim as the oracle.
+    elements, pts, top, pos = args
+    size = len(pts)
+    histogram = {}
+    f_max = None
+    theta_bound_ok = True
+    seen = [0] * top
+    stamp = 0
+    for p in elements:
+        stamp += 1
+        for v in pts:
+            img = p[v]
+            if img >= top or pos[img] < 0:
+                raise InvalidParameters(f"element moves {v} out of the class")
+        theta = 0
+        fixed = 0
+        for v in pts:
+            if seen[v] == stamp:
+                continue
+            theta += 1
+            if p[v] == v:
+                fixed += 1
+                seen[v] = stamp
+                continue
+            w = v
+            while seen[w] != stamp:
+                seen[w] = stamp
+                w = p[w]
+        if 2 * theta > fixed + size:
+            theta_bound_ok = False
+        histogram[theta] = histogram.get(theta, 0) + 1
+        if fixed < size:
+            nontrivial = True
+        else:
+            nontrivial = any(i != v for i, v in enumerate(p))
+        if nontrivial and (f_max is None or fixed > f_max):
+            f_max = fixed
+    return histogram, f_max, theta_bound_ok
+
+
+def _reference_fixers(c1, elements, t):
+    pts = sorted(set(c1))
+    size = len(pts)
+    top = max(pts) + 1
+    pos = [-1] * top
+    for i, v in enumerate(pts):
+        pos[v] = i
+    histogram, f_max, theta_bound_ok = _reference_fixer_chunk((elements, pts, top, pos))
+    exact_en = Fraction(sum(c * t**theta for theta, c in histogram.items()), t**size)
+    order = len(elements)
+    if order >= 2:
+        lp = least_prime_divisor(order)
+        lemma = exact_en < lp
+        log_cond = f_max is not None and t ** (size - f_max) > order * order
+    else:
+        lp, lemma, log_cond = None, True, True
+    return MotionReport(order, size, t, exact_en, f_max, histogram, lp, lemma, log_cond, theta_bound_ok)
+
+
+@st.composite
+def fixer_cases(draw):
+    """(class, element list, t) for a group acting on blocks A, B and fixed points.
+
+    A generator permutes A and B independently, so the restriction to A need
+    not be faithful.  The class is A plus, when drawn, B and the fixed points;
+    200 or more fixed points push the degree past 256, and with them in the
+    class the class passes 256 points too.  Points are relabelled at random,
+    so the class is seldom contiguous.
+    """
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(0, 3))
+    extra = draw(st.sampled_from([0, 2, 200, 260]))
+    n = a + b + extra
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        pa = draw(st.permutations(range(a)))
+        pb = draw(st.permutations(range(a, a + b)))
+        gens.append(tuple(pa) + tuple(pb) + tuple(range(a + b, n)))
+    rho = draw(st.permutations(range(n)))
+    relabelled = [tuple(rho[g[rho.index(i)]] for i in range(n)) for g in gens]
+    block = list(range(a))
+    if draw(st.booleans()):
+        block += range(a, a + b)
+    if draw(st.booleans()):
+        block += range(a + b, n)
+    elements = closure(relabelled)
+    if draw(st.booleans()):
+        elements = [tuple(p) for p in elements]
+    draw(st.randoms(use_true_random=False)).shuffle(elements)
+    return [rho[v] for v in block], elements, draw(st.integers(2, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixer_cases())
+def test_fixer_sum_matches_the_reference_kernel(case):
+    c1, elements, t = case
+    rep = exact_expected_fixers(c1, elements, t)
+    assert rep == _reference_fixers(c1, elements, t)
+    assert list(rep.theta_histogram) == sorted(rep.theta_histogram)
+
+
+# Two planted faults the fixer sum must refuse, run in-process and under
+# python -O.  S4 on {0,1,2,3} with two fixed points 4 and 5 and the class
+# {0,1,2,3}: dropping any element that is not its own inverse must fail the
+# inverse-pair count, and each element whose restriction sorts after its
+# inverse's (the member of the pair left unevaluated) must still be caught
+# when it is altered to send a class point to 4.
+PLANTED_FAULTS = """
+from distchrom.motion import InvalidParameters, exact_expected_fixers
+from distchrom.permgroup import closure, inverse, perm_from_cycles
+
+def refused(elements, message):
+    try:
+        exact_expected_fixers(range(4), elements, 2)
+    except InvalidParameters as exc:
+        return message in str(exc)
+    return False
+
+group = closure([perm_from_cycles(6, [(0, 1)]), perm_from_cycles(6, [(0, 1, 2, 3)])])
+exact_expected_fixers(range(4), group, 2)
+unpaired = [p for p in group if inverse(tuple(p)) != tuple(p)]
+skipped = [p for p in group if bytes(inverse(tuple(p))[:4]) < p[:4]]
+missing = [refused([q for q in group if q != p], "not closed under inverses") for p in unpaired]
+moved = []
+for p in skipped:
+    for v in range(4):
+        bad = list(p)
+        bad[v], bad[4] = bad[4], bad[v]
+        elements = [bytes(bad) if q == p else q for q in group]
+        moved.append(refused(elements, f"element moves {v} out of the class"))
+ok = len(missing) == 14 and all(missing) and len(moved) == 28 and all(moved)
+raise SystemExit(0 if ok else 1)
+"""
+
+
+def test_planted_faults_are_refused():
+    with pytest.raises(SystemExit) as exit_info:
+        exec(PLANTED_FAULTS, {})
+    assert exit_info.value.code == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", PLANTED_FAULTS], env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _cycle_index_histogram(n, k):
+    # theta histogram of S_n on k-subsets from cycle types alone: n!/z_lambda
+    # permutations have type lambda, and the cycles of one of them on
+    # k-subsets are counted by Burnside over its powers, where an l-cycle
+    # splits into gcd(l, j) cycles of length l / gcd(l, j) under the j-th
+    # power and a k-subset is fixed when it is a union of whole cycles.
+    histogram = {}
+    for lam in _partitions(n, n):
+        z = 1
+        for length in set(lam):
+            m = lam.count(length)
+            z *= length**m * math.factorial(m)
+        order = math.lcm(*lam)
+        fixed_total = 0
+        for j in range(order):
+            poly = [1] + [0] * k
+            for length in lam:
+                g = math.gcd(length, j)
+                for _ in range(g):
+                    part = length // g
+                    for deg in range(k, part - 1, -1):
+                        poly[deg] += poly[deg - part]
+            fixed_total += poly[k]
+        theta = fixed_total // order
+        histogram[theta] = histogram.get(theta, 0) + math.factorial(n) // z
+    return histogram
+
+
+@pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 3)])
+def test_fixer_sum_matches_the_cycle_index(n, k):
+    from distchrom.permgroup import induced_action_on_ksets
+
+    elements = induced_action_on_ksets(n, k).elements()
+    histogram = _cycle_index_histogram(n, k)
+    for t in (2, 3):
+        rep = exact_expected_fixers(range(math.comb(n, k)), elements, t)
+        expected = Fraction(sum(c * t**theta for theta, c in histogram.items()), t ** math.comb(n, k))
+        assert rep.exact_EN == expected
+        assert rep.theta_histogram == histogram
 
 
 def test_randomized_split_search_trivial_stabilizer():
