@@ -9,6 +9,7 @@ automorphism: a refutation needs one witness, not the whole subgroup.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -394,35 +395,89 @@ def distinguishing_chromatic_number(
     return ChiDResult(value=None, witness=None, lower_bound_certificates=certificates)
 
 
+# Bytes of neighbour words random_proper_coloring keeps for one call; past
+# this a dense graph with many colors spreads each word when it is used.
+_WORD_BYTES = 1 << 24
+
+
 def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
     """Greedy proper coloring in a random vertex order with random feasible colors.
 
     Each vertex draws uniformly from the ascending colors whose class has no
     neighbour of it.  Restarts with a fresh order on dead ends, up to
     MAX_ATTEMPTS times.
+
+    A restart keeps one integer ``blocked`` with a field of ceil(k/8) bytes
+    per vertex: bit c-1 of v's field is set once a neighbour of v has color
+    c.  Coloring v with c ors in v's neighbour word, one bit per neighbour
+    stored from v's lowest neighbour up, so a graph of small bandwidth costs
+    O(n*k) bits; the words are built once per call unless they would pass
+    _WORD_BYTES.  v's feasible colors are read off its field 8 colors at a
+    time from cached tables.
     """
     if k < 0:
         raise InvalidParameters("need k >= 0")
     rng = random.Random(seed)
     n = g.n
     adj = g.adj
-    ids = range(1, k + 1)
+    step = max(1, -(-k // 8))  # bytes per field; k = 0 keeps one empty byte
+    plan = []  # per vertex: field offset, word offset - 1
+    size = 0  # bytes of all neighbour words
+    for v, a in enumerate(adj):
+        lo = max(0, (a & -a).bit_length() - 1)  # v's lowest neighbour
+        plan.append((8 * step * v, 8 * step * lo - 1))
+        size += (a.bit_length() - lo or 1) * step
+    words = [_spread(a, step) for a in adj] if size <= _WORD_BYTES else None
+    field = (1 << 8 * step) - 1
+    (first, _), *rest = [(_free_colors(o, min(8, k - o)), o) for o in range(0, 8 * step, 8)]
+    vertices = list(range(n))
     for _ in range(MAX_ATTEMPTS):
-        order = list(range(n))
+        order = vertices[:]
         rng.shuffle(order)
         colors = [0] * n
-        members = [0] * (k + 1)  # members[c]: mask of the vertices colored c
+        blocked = 0
         for v in order:
-            a = adj[v]
-            feasible = [c for c in ids if not members[c] & a]
+            at, shift = plan[v]
+            f = blocked >> at & field
+            feasible = first[f & 255]
+            for table, o in rest:
+                feasible += table[f >> o & 255]
             if not feasible:
                 break
             c = rng.choice(feasible)
             colors[v] = c
-            members[c] |= 1 << v
+            blocked |= (words[v] if words else _spread(adj[v], step)) << shift + c
         else:
             return Coloring.from_sequence(colors)
     raise Infeasible(f"no proper {k}-coloring found in {MAX_ATTEMPTS} attempts")
+
+
+# binary digits "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(a: int, step: int) -> int:
+    """The bits of mask ``a`` from its lowest set bit up, one per ``step``-byte field."""
+    a >>= max(0, (a & -a).bit_length() - 1)
+    word = bytearray((a.bit_length() or 1) * step)
+    word[::step] = bin(a)[:1:-1].encode().translate(_BIT_BYTES)
+    return int.from_bytes(word, "little")
+
+
+# 4,096 tables hold every chunk up to k = 3,640 in about 10 MB
+@functools.lru_cache(maxsize=4096)
+def _free_colors(offset: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Colors offset+1..offset+width left open by each blocked-bit pattern, ascending.
+
+    Built from the table one color narrower: a pattern without the top bit
+    also leaves color offset+width open, and one with it leaves what the
+    rest of the pattern leaves.
+    """
+    if width == 0:
+        return ((),)
+    narrower = _free_colors(offset, width - 1)
+    top = (offset + width,)
+    return tuple(free + top for free in narrower) + narrower
 
 
 def split_color_class(c: Coloring, class_id: int, t: int, seed: int) -> Coloring:

@@ -299,8 +299,8 @@ class _Budget:
 
     Steps count scanning work: each ``_refine`` call pays one per input cell
     for the scan that finds the non-singleton cells, plus the size of every
-    cell it scans against a splitter; each ``_find_map`` leaf pays n for its
-    automorphism check.
+    cell it scans against a splitter; each ``_target_cell`` call pays one per
+    cell it scans; each ``_find_map`` leaf pays n for its automorphism check.
     """
 
     __slots__ = ("remaining", "deadline", "tick")
@@ -402,8 +402,12 @@ def _mask(cell) -> int:
     return m
 
 
-def _target_cell(cells) -> int:
-    """Index of the first smallest non-singleton cell, -1 if discrete."""
+def _target_cell(cells, budget) -> int:
+    """Index of the first smallest non-singleton cell, -1 if discrete.
+
+    The scan is charged one step per cell.
+    """
+    budget.spend(len(cells))
     best = -1
     best_size = None
     for i, c in enumerate(cells):
@@ -452,7 +456,7 @@ def _find_map(adj, s_cells, t_cells, budget):
     image tuple or None after exhausting the subtree, which proves no such
     automorphism exists.
     """
-    idx = _target_cell(s_cells)
+    idx = _target_cell(s_cells, budget)
     if idx < 0:
         n = len(adj)
         images = [0] * n
@@ -499,7 +503,7 @@ def _stabilizer_search(adj, cells, budget, first):
     tree in the same order up to that point, so g is the first generator the
     full search would return.
     """
-    idx = _target_cell(cells)
+    idx = _target_cell(cells, budget)
     if idx < 0:
         return [], 1
     cell = cells[idx]

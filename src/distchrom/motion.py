@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import eq
 
 from .algebra import InvalidParameters, binomial, least_prime_divisor, partition_count
@@ -194,6 +195,19 @@ def _class_arithmetic(pts: list[int], degree: int):
     return cls, tuple, compose, invert, fixed_count, tuple(range(degree))
 
 
+def _cycle_count(pts: list[int], table) -> int:
+    """Number of cycles of an element on the class ``pts``, which it permutes."""
+    seen = set()
+    cycles = 0
+    for v in pts:
+        if v not in seen:
+            cycles += 1
+            while v not in seen:
+                seen.add(v)
+                v = table[v]
+    return cycles
+
+
 def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
     """Per-chunk cycle statistics: (theta histogram, max fixed count, bound ok, weight).
 
@@ -205,9 +219,12 @@ def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
     its length; the caller checks the total over all chunks.  Theta, the
     number of orbits of <sigma> on the class, follows from Burnside's lemma:
     (1/o) * sum over d | o of phi(o/d) * fix(sigma^d), where o, the order of
-    sigma, is found by stepping through its powers.  Every element, skipped
-    or not, is checked to permute the class: sigma^-1 is computed as if it
-    did, and sigma(sigma^-1) is the identity exactly when it does.  Separate
+    sigma, is found by stepping through its powers.  An order up to |class|
+    shows within |class| steps; an element of larger order (lcm of cycle
+    lengths, each at most |class|) takes theta from one walk over its cycles
+    instead of stepping through all o powers.  Every element, skipped or
+    not, is checked to permute the class: sigma^-1 is computed as if it did,
+    and sigma(sigma^-1) is the identity exactly when it does.  Separate
     top-level function so process pools can ship element slices to workers.
     """
     elements, pts, degree = args
@@ -231,19 +248,23 @@ def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
             continue
         w = 1 if inverse == sigma else 2
         weight += w
+        fixed = fixed_count(sigma)
         powers = [sigma]
         q = sigma
-        while q != cls:
+        for _ in repeat(None, size):
+            if q == cls:
+                order = len(powers)
+                if order not in terms:
+                    terms[order] = _burnside_terms(order)
+                total = size
+                for d, phi in terms[order]:
+                    total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
+                theta = total // order
+                break
             q = compose(q, table)
             powers.append(q)
-        order = len(powers)
-        if order not in terms:
-            terms[order] = _burnside_terms(order)
-        fixed = fixed_count(sigma)
-        total = size
-        for d, phi in terms[order]:
-            total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
-        theta = total // order
+        else:
+            theta = _cycle_count(pts, table)
         if 2 * theta > fixed + size:
             theta_bound_ok = False
         histogram[theta] = histogram.get(theta, 0) + w

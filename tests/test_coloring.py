@@ -386,6 +386,59 @@ def test_sampler_draws_match_the_reference(g, extra, seed):
     assert random_proper_coloring(g, k, seed).colors == _reference_sampler(g, k, seed)
 
 
+def _restarting_reference_sampler(g, k, seed):
+    # The sampler before the packed blocked-color word, kept verbatim with its
+    # restarts: one vertex mask per color, and the ascending colors whose
+    # class has no neighbour of v.
+    if k < 0:
+        raise InvalidParameters("need k >= 0")
+    rng = random.Random(seed)
+    n = g.n
+    adj = g.adj
+    ids = range(1, k + 1)
+    for _ in range(coloring.MAX_ATTEMPTS):
+        order = list(range(n))
+        rng.shuffle(order)
+        colors = [0] * n
+        members = [0] * (k + 1)  # members[c]: mask of the vertices colored c
+        for v in order:
+            a = adj[v]
+            feasible = [c for c in ids if not members[c] & a]
+            if not feasible:
+                break
+            c = rng.choice(feasible)
+            colors[v] = c
+            members[c] |= 1 << v
+        else:
+            return Coloring.from_sequence(colors)
+    raise Infeasible(f"no proper {k}-coloring found in {coloring.MAX_ATTEMPTS} attempts")
+
+
+def _draw_or_infeasible(sampler, g, k, seed):
+    try:
+        return sampler(g, k, seed).colors
+    except Infeasible:
+        return Infeasible
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(14), st.data(), st.integers(0, 2**64 - 1), st.booleans())
+def test_sampler_matches_the_restarting_reference(g, data, seed, spread_each_use):
+    # k runs from 0 to the maximum degree + 2, so draws restart and dead-end,
+    # and often sits at chi or chi + 1, where a draw succeeds after restarts;
+    # 9, 16 and 17 cross the 8-color chunks of the blocked-color tables.  A
+    # zero word budget makes the sampler spread each neighbour word on use.
+    top = max((g.degree(v) for v in range(g.n)), default=0) + 2
+    chi = chromatic_number(g)
+    k = data.draw(st.one_of(st.integers(0, top), st.integers(chi, chi + 1), st.sampled_from([9, 16, 17])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "MAX_ATTEMPTS", 5)
+        if spread_each_use:
+            mp.setattr(coloring, "_WORD_BYTES", 0)
+        expected = _draw_or_infeasible(_restarting_reference_sampler, g, k, seed)
+        assert _draw_or_infeasible(random_proper_coloring, g, k, seed) == expected
+
+
 # sha256 of repr() of the drawn color tuples, recorded before the sampler kept
 # one vertex mask per color; every seed must still draw the same coloring
 SAMPLER_DIGEST = "f600e77ebb2fa6d5f5c65fb9cfbb341a739ae17a8b1c4bb47ff991a8a4cfb0b9"
@@ -398,6 +451,19 @@ def test_sampler_draws_are_pinned():
     draws += [random_proper_coloring(krs, 4, seed=derive_seed(DEFAULT_SEED, "krs4", i)).colors for i in range(5)]
     draws += [random_proper_coloring(cycle(5), 3, seed=s).colors for s in range(50)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLER_DIGEST
+
+
+# sha256 of repr() of draws whose k crosses the 8-color chunks of the
+# blocked-color tables (2, 8, 9, 16, 17, 25 on levi_graph(3); 10, 16, 17, 25 on
+# kneser_complement(6,3)), recorded before the sampler kept a packed word
+CHUNK_BOUNDARY_DIGEST = "21c5b1c999ceb556dbb1a0071e534307e29d445ebd604fec2d1f88f553077f63"
+
+
+def test_sampler_draws_across_chunk_boundaries_are_pinned():
+    lg, kc = levi_graph(3), kneser_complement(6, 3)
+    draws = [random_proper_coloring(lg, k, seed=s).colors for k in (2, 8, 9, 16, 17, 25) for s in range(10)]
+    draws += [random_proper_coloring(kc, k, seed=s).colors for k in (10, 16, 17, 25) for s in range(10)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == CHUNK_BOUNDARY_DIGEST
 
 
 def test_split_color_class():

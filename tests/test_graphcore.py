@@ -289,6 +289,23 @@ def test_each_refinement_is_charged_its_cell_count(monkeypatch):
     assert all(spent >= size for spent, size in charged)
 
 
+def test_each_target_cell_scan_is_charged_its_cell_count(monkeypatch):
+    charged = []
+    real = graphcore._target_cell
+
+    def counting(cells, budget):
+        before = budget.remaining
+        out = real(cells, budget)
+        charged.append((before - budget.remaining, len(cells)))
+        return out
+
+    monkeypatch.setattr(graphcore, "_target_cell", counting)
+    automorphism_group(levi_graph(2))
+    automorphism_group(kneser_complement(6, 3))
+    assert len(charged) > 50
+    assert all(spent == size for spent, size in charged)
+
+
 @st.composite
 def symmetric_graphs(draw):
     # closing random edges under a drawn permutation keeps that permutation an

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,6 +235,22 @@ def test_fixer_sum_matches_the_reference_kernel(case):
     rep = exact_expected_fixers(c1, elements, t)
     assert rep == _reference_fixers(c1, elements, t)
     assert list(rep.theta_histogram) == sorted(rep.theta_histogram)
+
+
+def test_elements_of_order_above_the_class_size_stay_cheap():
+    # The cyclic group of order 27,720 = lcm(5, 7, 8, 9, 11) on 40 points:
+    # most elements have order far above the class size, so theta comes from a
+    # cycle walk instead of all o powers (the power loop alone took 16-19 s).
+    cycles, start = [], 0
+    for length in (5, 7, 8, 9, 11):
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    elements = closure([perm_from_cycles(40, cycles)])
+    assert len(elements) == 27720
+    began = time.perf_counter()
+    rep = exact_expected_fixers(range(40), elements, 2)
+    assert time.perf_counter() - began < 5
+    assert rep == _reference_fixers(range(40), elements, 2)
 
 
 # Two planted faults the fixer sum must refuse, run in-process and under
