@@ -198,18 +198,18 @@ def cmd_motion(args) -> int:
         sub = graphcore.color_preserving_automorphisms(wp, factor)
         from .permgroup import closure
 
-        report = exact_expected_fixers(range(block), closure(sub.generators), args.t, threads=args.threads)
+        report = exact_expected_fixers(range(block), closure(sub.generators), args.t)
         _emit({"command": "motion exact", "family": "weakpower", **report.to_json_dict()}, args)
         return 0
     else:
         raise ValueError(f"no exact recipe for family {args.family_name!r}")
-    report = exact_expected_fixers(c1, group.elements(), args.t, threads=args.threads)
+    report = exact_expected_fixers(c1, group.elements(), args.t)
     _emit({"command": "motion exact", "family": args.family_name, **report.to_json_dict()}, args)
     return 0
 
 
 def cmd_gs_montecarlo(args) -> int:
-    report = favorable_fraction(args.q, trials=args.trials, seed=args.seed, threads=args.threads)
+    report = favorable_fraction(args.q, trials=args.trials, seed=args.seed)
     report["command"] = "gs montecarlo"
     report["seed"] = args.seed
     _emit(report, args)
@@ -221,7 +221,7 @@ def cmd_reproduce(args) -> int:
     if args.trials is not None:
         if args.recipe in ("gs", "kneser", "krs"):
             kwargs["trials"] = args.trials
-    report = run_recipe(args.recipe, seed=args.seed, threads=args.threads, **kwargs)
+    report = run_recipe(args.recipe, seed=args.seed, **kwargs)
     report["command"] = f"reproduce {args.recipe}"
     _emit(report, args)
     return 0 if report["passed"] else 1
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mot.add_argument("--t", type=int, default=2)
     p_mot.add_argument("--aut-order", type=int, default=6)
     p_mot.add_argument("--c1-size", type=int, default=1)
-    p_mot.add_argument("--threads", type=int, default=1)
     common(p_mot)
     p_mot.set_defaults(func=cmd_motion)
 
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("--q", type=int, default=13)
     p_gs.add_argument("--trials", type=int, default=50)
     p_gs.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_gs.add_argument("--threads", type=int, default=1)
     common(p_gs)
     p_gs.set_defaults(func=cmd_gs_montecarlo)
 
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("recipe", choices=["levi", "lg1", "weak", "gs", "kneser", "krs", "appendix", "all"])
     p_rep.add_argument("--trials", type=int, default=None)
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_rep.add_argument("--threads", type=int, default=1)
     common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 

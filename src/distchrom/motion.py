@@ -21,7 +21,7 @@ from operator import eq
 from .algebra import InvalidParameters, binomial, least_prime_divisor, partition_count
 from .coloring import Coloring, is_distinguishing, is_proper, split_color_class
 from .graphcore import Graph, SearchTimeout, automorphism_group
-from .permgroup import Perm
+from .permgroup import Perm, orbit_count_on
 from .seeds import derive_seed
 
 __all__ = [
@@ -195,46 +195,54 @@ def _class_arithmetic(pts: list[int], degree: int):
     return cls, tuple, compose, invert, fixed_count, tuple(range(degree))
 
 
-def _cycle_count(pts: list[int], table) -> int:
-    """Number of cycles of an element on the class ``pts``, which it permutes."""
-    seen = set()
-    cycles = 0
-    for v in pts:
-        if v not in seen:
-            cycles += 1
-            while v not in seen:
-                seen.add(v)
-                v = table[v]
-    return cycles
+def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) -> MotionReport:
+    """Exact expected number of elements fixing every class after a t-split.
 
-
-def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
-    """Per-chunk cycle statistics: (theta histogram, max fixed count, bound ok, weight).
-
-    sigma is an element's restriction to the class.  p -> p^-1 is a
-    bijection of the group that sends sigma to sigma^-1, and p and p^-1 have
-    the same theta and the same fixed count, so only the element whose sigma
-    is not larger than its inverse is evaluated, with weight 2, or 1 when
-    sigma == sigma^-1.  The weights of a list closed under inverses sum to
-    its length; the caller checks the total over all chunks.  Theta, the
-    number of orbits of <sigma> on the class, follows from Burnside's lemma:
-    (1/o) * sum over d | o of phi(o/d) * fix(sigma^d), where o, the order of
-    sigma, is found by stepping through its powers.  An order up to |class|
-    shows within |class| steps; an element of larger order (lcm of cycle
-    lengths, each at most |class|) takes theta from one walk over its cycles
-    instead of stepping through all o powers.  Every element, skipped or
-    not, is checked to permute the class: sigma^-1 is computed as if it did,
-    and sigma(sigma^-1) is the identity exactly when it does.  Separate
-    top-level function so process pools can ship element slices to workers.
+    ``c1`` is the vertex set of the class to be split and ``elements`` the
+    full list of group elements, identity included, all of one degree; every
+    element must stabilize ``c1`` setwise and the list must be closed under
+    inverses.  The sum includes the identity's contribution of exactly 1, and
+    the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it is
+    computed.  ``theta_histogram`` is sorted by theta.  The sum runs in one
+    process: ``threads`` accepts only 1, and is kept because the benchmark
+    harness (``bench/workloads.py``) still passes ``threads=1``.
     """
-    elements, pts, degree = args
-    cls, extend, compose, invert, fixed_count, identity = _class_arithmetic(pts, degree)
+    if threads != 1:
+        raise InvalidParameters(f"threads must be 1, got {threads}")
+    if t < 2:
+        raise InvalidParameters("need t >= 2")
+    if not elements:
+        raise InvalidParameters("need at least the identity")
+    pts = sorted(set(c1))
+    if not pts:
+        raise InvalidParameters("the class is empty")
     size = len(pts)
+    degree = len(elements[0])
+    if set(map(len, elements)) != {degree}:
+        raise InvalidParameters("elements must share a degree")
+    if pts[0] < 0 or pts[-1] >= degree:
+        bad = pts[0] if pts[0] < 0 else pts[-1]
+        raise InvalidParameters(f"class point {bad} is not a point of the degree-{degree} action")
+    cls, extend, compose, invert, fixed_count, identity = _class_arithmetic(pts, degree)
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
     weight = 0
     terms: dict[int, list[tuple[int, int]]] = {}
+    # sigma is an element's restriction to the class.  p -> p^-1 is a
+    # bijection of the group that sends sigma to sigma^-1, and p and p^-1 have
+    # the same theta and the same fixed count, so only the element whose
+    # sigma is not larger than its inverse is evaluated, with weight 2, or 1
+    # when sigma == sigma^-1.  The weights of a list closed under inverses sum
+    # to its length, which is checked below.  Theta, the number of orbits of
+    # <sigma> on the class, follows from Burnside's lemma: (1/o) * sum over
+    # d | o of phi(o/d) * fix(sigma^d), where o, the order of sigma, is found
+    # by stepping through its powers.  An order up to |class| shows within
+    # |class| steps; an element of larger order (lcm of cycle lengths, each at
+    # most |class|) takes theta from one walk over its cycles instead of
+    # stepping through all o powers.  Every element, skipped or not, is
+    # checked to permute the class: sigma^-1 is computed as if it did, and
+    # sigma(sigma^-1) is the identity exactly when it does.
     for p in elements:
         table = extend(p)
         sigma = compose(cls, table)
@@ -264,60 +272,12 @@ def _fixer_chunk(args) -> tuple[dict[int, int], int | None, bool, int]:
             q = compose(q, table)
             powers.append(q)
         else:
-            theta = _cycle_count(pts, table)
+            theta = orbit_count_on(table, pts)[0]
         if 2 * theta > fixed + size:
             theta_bound_ok = False
         histogram[theta] = histogram.get(theta, 0) + w
         if (fixed < size or table != identity) and (f_max is None or fixed > f_max):
             f_max = fixed
-    return histogram, f_max, theta_bound_ok, weight
-
-
-def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) -> MotionReport:
-    """Exact expected number of elements fixing every class after a t-split.
-
-    ``c1`` is the vertex set of the class to be split and ``elements`` the
-    full list of group elements, identity included, all of one degree; every
-    element must stabilize ``c1`` setwise and the list must be closed under
-    inverses.  The sum includes the identity's contribution of exactly 1, and
-    the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it is
-    computed.  ``theta_histogram`` is sorted by theta.  ``threads`` > 1
-    partitions the element list; the exact rational is unchanged.
-    """
-    if t < 2:
-        raise InvalidParameters("need t >= 2")
-    if not elements:
-        raise InvalidParameters("need at least the identity")
-    pts = sorted(set(c1))
-    if not pts:
-        raise InvalidParameters("the class is empty")
-    size = len(pts)
-    degree = len(elements[0])
-    if set(map(len, elements)) != {degree}:
-        raise InvalidParameters("elements must share a degree")
-    if pts[0] < 0 or pts[-1] >= degree:
-        bad = pts[0] if pts[0] < 0 else pts[-1]
-        raise InvalidParameters(f"class point {bad} is not a point of the degree-{degree} action")
-    if threads > 1 and len(elements) > 1000:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (len(elements) + threads - 1) // threads
-        chunks = [elements[i : i + step] for i in range(0, len(elements), step)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_fixer_chunk, [(ch, pts, degree) for ch in chunks]))
-    else:
-        parts = [_fixer_chunk((elements, pts, degree))]
-    histogram: dict[int, int] = {}
-    f_max: int | None = None
-    theta_bound_ok = True
-    weight = 0
-    for hist, fm, ok, w in parts:
-        for theta, count in hist.items():
-            histogram[theta] = histogram.get(theta, 0) + count
-        if fm is not None and (f_max is None or fm > f_max):
-            f_max = fm
-        theta_bound_ok = theta_bound_ok and ok
-        weight += w
     order = len(elements)
     if weight != order:
         raise InvalidParameters("element list is not closed under inverses")
@@ -494,50 +454,32 @@ def slope_mobius(q: int, matrix: tuple[int, int, int, int], alpha):
     return ((d * al + c) * pow(denom, q - 2, q)) % q
 
 
-def _slope_aut_order(args) -> int | None:
-    """Worker for one slope-set trial; None encodes a search timeout."""
-    q, s = args
-    from .families import slope_graph
-
-    graph, _ = slope_graph(q, s)
-    try:
-        return automorphism_group(graph).order
-    except SearchTimeout:
-        return None
-
-
-def favorable_fraction(q: int, trials: int = 50, seed: int = 0, threads: int = 1) -> dict:
+def favorable_fraction(q: int, trials: int = 50, seed: int = 0) -> dict:
     """Sampled distribution of slope-graph symmetry orders.
 
     Each trial draws a slope set, runs the generic automorphism search, and
     records whether the order equals the baseline q^2(q-1) of scalings plus
     translations.  The exact union-bound value
     (q^2-1)(q^2-q) * 2 p((q-1)/2) / C(q, (q-1)/2) is reported alongside.
-    Timeouts are counted per trial, not raised.  ``threads`` > 1 spreads the
-    independent trials over worker processes; results keep trial order.
+    Timeouts are counted per trial, not raised; samples keep trial order.
     """
+    from .families import slope_graph
+
     t = (q - 1) // 2
     baseline = q * q * (q - 1)
     bound_value = Fraction((q**2 - 1) * (q**2 - q) * 2 * partition_count(t), binomial(q, t))
-    subsets = []
-    for i in range(trials):
-        rng = random.Random(derive_seed(seed, "gs-sample", q, i))
-        subsets.append(sorted(rng.sample(range(q), t)))
-    jobs = [(q, s) for s in subsets]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            orders = list(pool.map(_slope_aut_order, jobs))
-    else:
-        orders = [_slope_aut_order(job) for job in jobs]
     sampled = []
     timeouts = 0
-    for s, order in zip(subsets, orders):
-        if order is None:
+    for i in range(trials):
+        rng = random.Random(derive_seed(seed, "gs-sample", q, i))
+        s = sorted(rng.sample(range(q), t))
+        graph, _ = slope_graph(q, s)
+        try:
+            order = automorphism_group(graph).order
+        except SearchTimeout:
             timeouts += 1
             continue
-        sampled.append({"slopes": list(s), "aut_order": order, "baseline": order == baseline})
+        sampled.append({"slopes": s, "aut_order": order, "baseline": order == baseline})
     done = len(sampled)
     equal = sum(1 for rec in sampled if rec["baseline"])
     return {

@@ -54,7 +54,7 @@ def _distinguishing_split(g, base, class_id, t, report, seed, checks, cid, desc)
     return found
 
 
-def recipe_levi(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
+def recipe_levi(seed: int = DEFAULT_SEED) -> list[dict]:
     """Exact split certificates for the plane incidence graphs, plus bounds."""
     checks: list[dict] = []
     lo, hi = Fraction(11, 10), Fraction(13, 10)
@@ -62,7 +62,7 @@ def recipe_levi(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     lg5 = families.levi_graph(5)
     pgl5 = families.pgl3_action(5)
     els5 = pgl5.elements()
-    rep5 = exact_expected_fixers(range(31), els5, 2, threads=threads)
+    rep5 = exact_expected_fixers(range(31), els5, 2)
     _check(
         checks,
         "levi5-en-range",
@@ -87,7 +87,7 @@ def recipe_levi(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     lg4 = families.levi_graph(4)
     pgm4 = families.pgammal3_action(4)
     els4 = pgm4.elements()
-    rep4 = exact_expected_fixers(range(21), els4, 3, threads=threads)
+    rep4 = exact_expected_fixers(range(21), els4, 3)
     _check(
         checks,
         "levi4-en-range",
@@ -146,7 +146,7 @@ def recipe_levi(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     return checks
 
 
-def recipe_lg1(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
+def recipe_lg1(seed: int = DEFAULT_SEED) -> list[dict]:
     """Subset-containment graphs: rigid colorings and the factorial certificate."""
     checks: list[dict] = []
     g26 = families.levi_order1(2, 6)
@@ -169,7 +169,7 @@ def recipe_lg1(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
            b.lt_value(2), value=_fraction_fields(b.as_fraction()))
     s9 = induced_action_on_ksets(9, 4)
     els = s9.elements()
-    rep = exact_expected_fixers(range(126), els, 2, threads=threads)
+    rep = exact_expected_fixers(range(126), els, 2)
     _check(checks, "lg1-s9-en", "exact certificate over the induced action on 4-subsets of [9] is below 2",
            rep.exact_EN < 2 and rep.lemma_satisfied and rep.theta_bound_ok,
            exact_EN=_fraction_fields(rep.exact_EN), group_order=rep.group_order)
@@ -183,7 +183,7 @@ def recipe_lg1(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     return checks
 
 
-def recipe_weak(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
+def recipe_weak(seed: int = DEFAULT_SEED) -> list[dict]:
     """Tensor power of the triangle: symmetry structure and the +1 coloring."""
     checks: list[dict] = []
     k3 = graphcore.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -213,7 +213,7 @@ def recipe_weak(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
            all_fixed)
     sub = graphcore.color_preserving_automorphisms(wp, factor)
     els = closure(sub.generators)
-    rep = exact_expected_fixers(range(27), els, 2, threads=threads)
+    rep = exact_expected_fixers(range(27), els, 2)
     _check(checks, "weak-en", "exact certificate over the class-preserving subgroup is below 2",
            rep.lemma_satisfied and rep.theta_bound_ok,
            exact_EN=_fraction_fields(rep.exact_EN), group_order=rep.group_order)
@@ -229,7 +229,7 @@ def recipe_weak(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
     return checks
 
 
-def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50, threads: int = 1) -> list[dict]:
+def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50) -> list[dict]:
     """Slope graphs: the q=5 sweep and sampled symmetry orders at q=11, 13."""
     checks: list[dict] = []
     q = 5
@@ -290,7 +290,7 @@ def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50, threads: int = 1) -> l
            "some slope set at q=5 has the baseline symmetry order 100",
            aut100 is not None, found=aut100)
     for qq in (11, 13):
-        rep = favorable_fraction(qq, trials=trials, seed=derive_seed(seed, "gs-mc", qq), threads=threads)
+        rep = favorable_fraction(qq, trials=trials, seed=derive_seed(seed, "gs-mc", qq))
         divisible = all(r["aut_order"] % rep["baseline_order"] == 0 for r in rep["samples"])
         _check(checks, f"gs-divisibility-q{qq}",
                "baseline scaling-translation order divides every sampled symmetry order",
@@ -308,7 +308,7 @@ def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50, threads: int = 1) -> l
     return checks
 
 
-def recipe_kneser(seed: int = DEFAULT_SEED, trials: int = 1000, threads: int = 1) -> list[dict]:
+def recipe_kneser(seed: int = DEFAULT_SEED, trials: int = 1000) -> list[dict]:
     """Intersecting-subset graphs: random proper colorings and symmetry orders."""
     checks: list[dict] = []
     for n, r in ((6, 3), (7, 3)):
@@ -338,13 +338,13 @@ def recipe_kneser(seed: int = DEFAULT_SEED, trials: int = 1000, threads: int = 1
     return checks
 
 
-def recipe_krs(seed: int = DEFAULT_SEED, trials: int = 100, threads: int = 1) -> list[dict]:
+def recipe_krs(seed: int = DEFAULT_SEED, trials: int = 100) -> list[dict]:
     """Fiber blow-up of the order-5 plane: the +1 coloring and the lower-bound sweep."""
     checks: list[dict] = []
     g, meta = families.levi_tensor_krs(5, 2, 2)
     lg5 = families.levi_graph(5)
     pgl5 = families.pgl3_action(5)
-    rep5 = exact_expected_fixers(range(31), pgl5.elements(), 2, threads=threads)
+    rep5 = exact_expected_fixers(range(31), pgl5.elements(), 2)
     sides5 = col.Coloring.from_sequence([1] * 31 + [2] * 31)
     base3 = randomized_split_search(
         lg5, sides5, class_id=1, t=2, report=rep5, seed=derive_seed(seed, "krs-base3")
@@ -373,7 +373,7 @@ def recipe_krs(seed: int = DEFAULT_SEED, trials: int = 100, threads: int = 1) ->
     return checks
 
 
-def recipe_appendix(seed: int = DEFAULT_SEED, threads: int = 1) -> list[dict]:
+def recipe_appendix(seed: int = DEFAULT_SEED) -> list[dict]:
     """Small-order incidence graphs: exhaustive sweeps and the structured coloring."""
     checks: list[dict] = []
     lg2 = families.levi_graph(2)
@@ -487,17 +487,17 @@ RECIPES = {
 }
 
 
-def run_recipe(name: str, seed: int = DEFAULT_SEED, threads: int = 1, **kwargs) -> dict:
+def run_recipe(name: str, seed: int = DEFAULT_SEED, **kwargs) -> dict:
     """Run one recipe (or ``all``) and report structured pass/fail checks."""
     if name == "all":
         checks = []
         for rname in RECIPES:
-            for chk in RECIPES[rname](seed=seed, threads=threads, **kwargs):
+            for chk in RECIPES[rname](seed=seed, **kwargs):
                 chk = dict(chk)
                 chk["id"] = f"{rname}:{chk['id']}"
                 checks.append(chk)
     elif name in RECIPES:
-        checks = RECIPES[name](seed=seed, threads=threads, **kwargs)
+        checks = RECIPES[name](seed=seed, **kwargs)
     else:
         raise ValueError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)} or 'all'")
     return {

@@ -172,3 +172,28 @@ def test_no_assert_in_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_no_process_pool_in_library():
+    # every certificate is computed in one process, so the package imports no
+    # process or thread pool machinery
+    import ast
+    from pathlib import Path
+
+    import distchrom
+
+    banned = ("concurrent.futures", "multiprocessing")
+    sources = sorted(Path(distchrom.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(node.lineno, n) for n in names if any(n == b or n.startswith(b + ".") for b in banned)]
+        assert not found, (path.name, found)

@@ -238,9 +238,8 @@ _VALUES = {"--seed": "1", "--budget-nodes": "5", "--budget-secs": "0.5", "--thre
 _READS = {
     "aut": ("--budget-nodes", "--budget-secs"),
     "chid": ("--budget-nodes",),
-    "motion": ("--threads",),
-    "gs": ("--seed", "--threads"),
-    "reproduce": ("--seed", "--threads"),
+    "gs": ("--seed",),
+    "reproduce": ("--seed",),
 }
 _UNREAD = [
     (cmd, opt, value)

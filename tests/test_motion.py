@@ -108,16 +108,14 @@ def test_exact_expected_fixers_errors():
 
 
 def test_exact_expected_fixers_threads_match():
-    els = dihedral_c4()
-    stab = [p for p in els if set(p[v] for v in (0, 2)) == {0, 2}]
-    seq = exact_expected_fixers([0, 2], stab, 2, threads=1)
-    par = exact_expected_fixers([0, 2], stab, 2, threads=2)
-    assert seq == par
-    # small lists bypass the pool, so force chunking through bigger groups:
-    # S7 on 2-sets, and S5 x S4 on two blocks split on the (relabelled)
-    # first block, a restriction that is not faithful
+    # the sum runs in one process: threads=1 is the only accepted value, and
+    # it gives the reference kernel's report on the C4 stabilizer, S7 on
+    # 2-sets, and S5 x S4 on two blocks split on the (relabelled) first
+    # block, a restriction that is not faithful
     from distchrom.permgroup import induced_action_on_ksets
 
+    els = dihedral_c4()
+    stab = [p for p in els if set(p[v] for v in (0, 2)) == {0, 2}]
     els7 = induced_action_on_ksets(7, 2).elements()
     rho = [(5 * i + 2) % 9 for i in range(9)]
     gens = [
@@ -127,11 +125,12 @@ def test_exact_expected_fixers_threads_match():
         perm_from_cycles(9, [(5, 6, 7, 8)]),
     ]
     relabelled = [tuple(rho[g[rho.index(i)]] for i in range(9)) for g in gens]
-    cases = [(range(21), els7), ([rho[v] for v in range(5)], closure(relabelled))]
+    cases = [([0, 2], stab), (range(21), els7), ([rho[v] for v in range(5)], closure(relabelled))]
     for c1, group in cases:
-        a = exact_expected_fixers(c1, group, 2, threads=1)
-        b = exact_expected_fixers(c1, group, 2, threads=3)
-        assert len(group) > 1000 and a == b == _reference_fixers(c1, group, 2)
+        assert exact_expected_fixers(c1, group, 2, threads=1) == _reference_fixers(c1, group, 2)
+    for threads in (0, 2):
+        with pytest.raises(InvalidParameters, match="threads must be 1"):
+            exact_expected_fixers([0, 2], stab, 2, threads=threads)
 
 
 def _reference_fixer_chunk(args):
@@ -512,6 +511,30 @@ def test_favorable_fraction_bound_value_q13():
     assert all(rec["aut_order"] % report["baseline_order"] == 0 for rec in report["samples"])
     rerun = favorable_fraction(13, trials=2, seed=1)
     assert rerun["samples"] == report["samples"]
+
+
+def test_favorable_fraction_counts_a_timeout_and_keeps_trial_order(monkeypatch):
+    import distchrom.motion as motion_module
+    from distchrom.graphcore import SearchTimeout
+
+    full = favorable_fraction(11, trials=4, seed=3)
+    assert full["trials"] == 4 and full["timeouts"] == 0
+    search = motion_module.automorphism_group
+    calls = []
+
+    def times_out_on_the_second_trial(graph):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise SearchTimeout("planted")
+        return search(graph)
+
+    monkeypatch.setattr(motion_module, "automorphism_group", times_out_on_the_second_trial)
+    report = favorable_fraction(11, trials=4, seed=3)
+    assert len(calls) == 4
+    assert report["timeouts"] == 1 and report["trials"] == 3
+    assert report["samples"] == [full["samples"][i] for i in (0, 2, 3)]
+    equal = sum(rec["baseline"] for rec in report["samples"])
+    assert report["fraction_equal"] == equal / 3
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
