@@ -6,7 +6,7 @@ automorphism search, coloring verification and search, and the
 expected-fixer certificate machinery, all over exact arithmetic.
 """
 
-from .algebra import BigRational, FiniteField, binomial, field_new, least_prime_divisor, partition_count
+from .algebra import FiniteField, binomial, field_new, least_prime_divisor, partition_count
 from .coloring import (
     Coloring,
     chromatic_number,

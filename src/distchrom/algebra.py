@@ -1,18 +1,15 @@
 """Exact arithmetic substrate: small finite fields, binomials, partitions, primes.
 
 Everything here is integer-exact.  Rational values throughout the package use
-``fractions.Fraction`` (re-exported as :data:`BigRational`), so no verdict ever
-depends on floating point.
+``fractions.Fraction``, so no verdict ever depends on floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "BigRational",
     "FiniteField",
     "InvalidParameters",
     "binomial",
@@ -22,8 +19,6 @@ __all__ = [
     "least_prime_divisor",
     "partition_count",
 ]
-
-BigRational = Fraction
 
 MAX_FIELD_ORDER = 16
 MAX_PARTITION_ARG = 10_000

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FiniteField, InvalidParameters, binomial, field_new, is_prime
-from .graphcore import Graph
+from .graphcore import MAX_VERTICES, Graph
 from .permgroup import GroupSpec, Perm, TooLarge, block_images, colex_ksets, perm_from_cycles
 
 __all__ = [
@@ -301,26 +301,33 @@ def slope_of(q: int, u: tuple[int, int], v: tuple[int, int]):
     return (dy * pow(dx, q - 2, q)) % q
 
 
+def _check_grid_order(q: int) -> None:
+    if not (is_prime(q) and q % 2 == 1 and q * q <= MAX_VERTICES):
+        raise InvalidParameters(f"q must be an odd prime with q^2 <= {MAX_VERTICES}, got {q}")
+
+
 def slope_graph(q: int, slopes) -> tuple[Graph, SlopeGraphMeta]:
-    """Graph on the q x q grid joining pairs whose connecting slope is allowed."""
-    if not (is_prime(q) and q % 2 == 1 and q <= 13):
-        raise InvalidParameters(f"q must be an odd prime <= 13, got {q}")
+    """Graph on the q x q grid joining pairs whose connecting slope is allowed.
+
+    Row v is the union of the lines through v whose slopes lie in S, minus v.
+    """
+    _check_grid_order(q)
     s = frozenset(int(x) for x in slopes)
     if not all(0 <= x < q for x in s):
         raise InvalidParameters("slopes must lie in the base field")
     if len(s) != (q - 1) // 2:
         raise InvalidParameters(f"need exactly {(q - 1) // 2} slopes, got {len(s)}")
     meta = SlopeGraphMeta(q=q, slopes=s)
-    edges = []
-    for x1 in range(q):
-        for y1 in range(q):
-            v1 = meta.vertex(x1, y1)
-            for x2 in range(x1 + 1, q):
-                inv_dx = pow(x2 - x1, q - 2, q)
-                for y2 in range(q):
-                    if ((y2 - y1) * inv_dx) % q in s:
-                        edges.append((v1, meta.vertex(x2, y2)))
-    return Graph.from_edges(q * q, edges, labels=_grid_labels(q)), meta
+    # lines[a][c] is the vertex mask of {(x, a*x + c)}; vertex (x, y) is x*q + y.
+    lines = {a: [sum(1 << (x * q + (a * x + c) % q) for x in range(q)) for c in range(q)] for a in s}
+    adj = []
+    for x in range(q):
+        for y in range(q):
+            row = 0
+            for a, by_intercept in lines.items():
+                row |= by_intercept[(y - a * x) % q]
+            adj.append(row & ~(1 << (x * q + y)))
+    return Graph(n=q * q, adj=tuple(adj), labels=_grid_labels(q)), meta
 
 
 @lru_cache(maxsize=None)
@@ -349,8 +356,7 @@ def affine_line_partition(q: int, alpha) -> list[list[int]]:
 
 def scalar_translation_action(q: int) -> GroupSpec:
     """Maps (x,y) -> (ax + b1, ay + b2) with a != 0, acting on the grid."""
-    if not (is_prime(q) and q % 2 == 1 and q <= 13):
-        raise InvalidParameters(f"q must be an odd prime <= 13, got {q}")
+    _check_grid_order(q)
 
     def grid_perm(a: int, b1: int, b2: int) -> Perm:
         return tuple(

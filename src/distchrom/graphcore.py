@@ -1,20 +1,25 @@
 """Graph representation and the verification workhorse.
 
 Graphs are immutable, with adjacency stored as one Python int bitmask per
-vertex.  The automorphism machinery is a partition-backtrack search: iterated
-equitable (degree-count) refinement plus individualization with orbit pruning.
-Below the root each node refines from its individualized vertex alone, since
-the parent partition is already equitable.  The search returns generators
-together with the exact group order, computed by orbit-stabilizer recursion,
-and optionally respects an initial partition whose cells must be stabilized
-setwise.  The same search can instead stop at its first generator, which is
-all a yes/no question about the group needs.
+vertex.  Construction validates a graph with word operations: one integer
+test per row for range and self-loops, a bit-matrix transpose per nonzero
+tile of at most 256 x 256 entries for symmetry (a single tile up to 256
+vertices), and one same-side mask per side value.  The automorphism machinery
+is a partition-backtrack search: iterated equitable (degree-count) refinement
+plus individualization with orbit pruning.  Below the root each node refines
+from its individualized vertex alone, since the parent partition is already
+equitable.  The search returns generators together with the exact group
+order, computed by orbit-stabilizer recursion, and optionally respects an
+initial partition whose cells must be stabilized setwise.  The same search
+can instead stop at its first generator, which is all a yes/no question about
+the group needs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .permgroup import Perm, inverse
@@ -48,26 +53,30 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if len(adj) != n:
             raise ValueError("adjacency length mismatch")
-        for v, mask in enumerate(self.adj):
-            if mask >> self.n:
+        # The first row with a bit at or above n or on the diagonal, else n.
+        bad = next((v for v, mask in enumerate(adj) if mask >> n or mask >> v & 1), n)
+        one_sided = _first_one_sided(adj, n)
+        if one_sided is not None and one_sided[0] < bad:
+            raise ValueError("asymmetric adjacency between {} and {}".format(*one_sided))
+        if bad < n:
+            if adj[bad] >> n:
                 raise ValueError("adjacency bit out of range")
-            if (mask >> v) & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            w = mask
-            while w:
-                u = (w & -w).bit_length() - 1
-                if not (self.adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
-                w &= w - 1
+            raise ValueError(f"self-loop at vertex {bad}")
         if self.side is not None:
-            if len(self.side) != self.n:
+            if len(self.side) != n:
                 raise ValueError("side length mismatch")
-            for u, v in self.edges():
-                if self.side[u] == self.side[v]:
-                    raise ValueError(f"edge ({u},{v}) does not cross sides")
-        if self.labels is not None and len(self.labels) != self.n:
+            same: dict = {}
+            for v, s in enumerate(self.side):
+                same[s] = same.get(s, 0) | 1 << v
+            for v, s in enumerate(self.side):
+                w = (adj[v] & same[s]) >> (v + 1)
+                if w:
+                    u = v + (w & -w).bit_length()
+                    raise ValueError(f"edge ({v},{u}) does not cross sides")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length mismatch")
 
     @staticmethod
@@ -217,6 +226,73 @@ class Graph:
         edges = [tuple(e) for e in raw_edges]
         _reject_duplicate_edges(edges)
         return Graph.from_edges(n, edges, side=side, labels=labels)
+
+
+# The widest tile.  Its eight delta-swap masks take 64 KB and are cached.
+_TILE = 256
+
+
+def _first_one_sided(adj, n: int) -> tuple[int, int] | None:
+    """The least (v, u) in row-major order with u in adj[v] but v not in adj[u].
+
+    The matrix is cut into square tiles of a power-of-two width of at most
+    _TILE.  Each tile X is packed into one integer, and the tile Y in the
+    mirror position is transposed by delta swaps (Warren, *Hacker's Delight*,
+    2nd ed., section 7-3), so the lowest set bit of X & ~Y^T names X's first
+    one-sided pair.  All-zero tiles are skipped, and the working memory is
+    a few tiles however large the graph.  A row with bits at or above n may
+    yield a pair (v, u >= n); the caller reports that row's range fault first.
+    """
+    width = min(_TILE, max(8, 1 << (n - 1).bit_length()))
+    blocks = -(-n // width)
+    chunk = (1 << width) - 1
+    masks = _transpose_masks(width)
+
+    def tile(i: int, j: int) -> int:
+        rows = adj[i * width:(i + 1) * width]
+        return int.from_bytes(
+            b"".join(((row >> j * width) & chunk).to_bytes(width // 8, "little") for row in rows),
+            "little",
+        )
+
+    for i in range(blocks):
+        occupied = 0
+        for row in adj[i * width:(i + 1) * width]:
+            occupied |= row
+        first = None
+        for j in range(blocks):
+            if not (occupied >> j * width) & chunk:
+                continue
+            x = tile(i, j)
+            t = x if i == j else tile(j, i)
+            for shift, mask in masks:
+                d = (t ^ (t >> shift)) & mask
+                t ^= d | (d << shift)
+            d = x & ~t
+            if d:
+                r, c = divmod((d & -d).bit_length() - 1, width)
+                pair = (i * width + r, j * width + c)
+                if first is None or pair < first:
+                    first = pair
+        if first is not None:
+            return first
+    return None
+
+
+@lru_cache(maxsize=None)
+def _transpose_masks(width: int) -> tuple[tuple[int, int], ...]:
+    # One delta swap per power of two j below width: entry (r, c) with bit j
+    # clear in r and set in c trades places with (r + j, c - j), which sits
+    # j * (width - 1) bits higher.
+    row_bytes = width // 8
+    out = []
+    j = width // 2
+    while j:
+        columns = (((1 << j) - 1) << j) * (((1 << width) - 1) // ((1 << 2 * j) - 1))
+        block = columns.to_bytes(row_bytes, "little") * j + bytes(row_bytes * j)
+        out.append((j * (width - 1), int.from_bytes(block * (width // (2 * j)), "little")))
+        j //= 2
+    return tuple(out)
 
 
 def _is_int(x) -> bool:

@@ -1,12 +1,17 @@
 """Family constructors: plane incidence, subset graphs, products, slope graphs."""
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
+from distchrom.algebra import is_prime
 from distchrom.families import (
     INFINITY,
     InvalidParameters,
+    SlopeGraphMeta,
+    _grid_labels,
     affine_line_partition,
     fiber_swap,
     kneser_complement,
@@ -22,7 +27,7 @@ from distchrom.families import (
     weak_power,
     weak_product,
 )
-from distchrom.graphcore import Graph, automorphism_group, is_automorphism, is_r_thin
+from distchrom.graphcore import MAX_VERTICES, Graph, automorphism_group, is_automorphism, is_r_thin
 from distchrom.permgroup import (
     GroupSpec,
     TooLarge,
@@ -219,6 +224,72 @@ def test_slope_graph_basics():
         slope_graph(7, [1, 2])
 
 
+def _pair_loop_slope_graph(q: int, slopes) -> tuple[Graph, SlopeGraphMeta]:
+    """Test oracle: the former slope_graph, one slope test per pair of grid points."""
+    if not (is_prime(q) and q % 2 == 1 and q <= 13):
+        raise InvalidParameters(f"q must be an odd prime <= 13, got {q}")
+    s = frozenset(int(x) for x in slopes)
+    if not all(0 <= x < q for x in s):
+        raise InvalidParameters("slopes must lie in the base field")
+    if len(s) != (q - 1) // 2:
+        raise InvalidParameters(f"need exactly {(q - 1) // 2} slopes, got {len(s)}")
+    meta = SlopeGraphMeta(q=q, slopes=s)
+    edges = []
+    for x1 in range(q):
+        for y1 in range(q):
+            v1 = meta.vertex(x1, y1)
+            for x2 in range(x1 + 1, q):
+                inv_dx = pow(x2 - x1, q - 2, q)
+                for y2 in range(q):
+                    if ((y2 - y1) * inv_dx) % q in s:
+                        edges.append((v1, meta.vertex(x2, y2)))
+    return Graph.from_edges(q * q, edges, labels=_grid_labels(q)), meta
+
+
+def _oracle_slope_sets():
+    for q in (5, 7):
+        yield from ((q, s) for s in combinations(range(q), (q - 1) // 2))
+    for q in (11, 13):
+        rng = random.Random(f"slope-sets:{q}")
+        yield from ((q, sorted(rng.sample(range(q), (q - 1) // 2))) for _ in range(50))
+
+
+def test_slope_graph_matches_the_pair_loop():
+    cases = list(_oracle_slope_sets())
+    assert len(cases) == 10 + 35 + 50 + 50
+    for q, s in cases:
+        (g, meta), (h, ref) = slope_graph(q, s), _pair_loop_slope_graph(q, s)
+        assert (g.adj, g.labels, meta) == (h.adj, h.labels, ref), (q, s)
+
+
+def test_slope_graph_order_cap():
+    # one check for both grid constructions: odd primes with q^2 <= MAX_VERTICES
+    assert 43 * 43 <= MAX_VERTICES < 47 * 47
+    for build in (lambda q: slope_graph(q, range(1, (q + 1) // 2)), scalar_translation_action):
+        for q in (2, 9, 15, 47):
+            with pytest.raises(InvalidParameters, match=f"odd prime with q\\^2 <= 2000, got {q}"):
+                build(q)
+    assert scalar_translation_action(43).degree == 43 * 43
+
+
+def test_slope_graph_past_q13_is_regular():
+    q = 23
+    s = sorted(random.Random("regular:23").sample(range(q), (q - 1) // 2))
+    g, _ = slope_graph(q, s)
+    assert g.n == q * q
+    assert all(g.degree(v) == (q - 1) * len(s) for v in range(g.n))
+
+
+def test_slope_graph_q17_contains_the_baseline_group():
+    q = 17
+    g, _ = slope_graph(q, [1, 2, 4, 6, 7, 11, 12, 16])
+    for gen in scalar_translation_action(q).generators:
+        assert is_automorphism(g, gen)
+    result = automorphism_group(g)
+    assert result.order % (q * q * (q - 1)) == 0
+    assert group_order(result.generators) == result.order
+
+
 def test_affine_line_partition():
     for alpha in [0, 1, 2, INFINITY]:
         classes = affine_line_partition(5, alpha)
@@ -245,8 +316,6 @@ def test_scalar_translation_action():
     ident = tuple(range(25))
     assert ident in {tuple(e) for e in closure(spec.generators)}
     # contained in the symmetry group of every slope graph at q=5
-    from itertools import combinations
-
     for s in combinations(range(5), 2):
         g, _ = slope_graph(5, list(s))
         for gen in spec.generators:

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import networkx as nx
@@ -17,6 +19,7 @@ from distchrom import graphcore
 from distchrom.families import (
     kneser_complement,
     levi_graph,
+    levi_order1,
     levi_tensor_krs,
     pgl3_action,
     slope_graph,
@@ -91,6 +94,148 @@ def test_edge_list_validation():
         Graph.from_text("-1 0\n")
     # constructions may pass repeated edges straight to from_edges
     assert Graph.from_edges(2, [(0, 1), (1, 0)]).m == 1
+
+
+@dataclass(frozen=True)
+class _EdgeWalkGraph:
+    """Test oracle: the graph type with the former per-edge validator."""
+
+    n: int
+    adj: tuple[int, ...]
+    side: tuple[int, ...] | None = None
+    labels: tuple[str, ...] | None = None
+
+    edges = Graph.edges
+
+    def __post_init__(self):
+        if len(self.adj) != self.n:
+            raise ValueError("adjacency length mismatch")
+        for v, mask in enumerate(self.adj):
+            if mask >> self.n:
+                raise ValueError("adjacency bit out of range")
+            if (mask >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            w = mask
+            while w:
+                u = (w & -w).bit_length() - 1
+                if not (self.adj[u] >> v) & 1:
+                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
+                w &= w - 1
+        if self.side is not None:
+            if len(self.side) != self.n:
+                raise ValueError("side length mismatch")
+            for u, v in self.edges():
+                if self.side[u] == self.side[v]:
+                    raise ValueError(f"edge ({u},{v}) does not cross sides")
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError("labels length mismatch")
+
+
+def _verdict(cls, fields):
+    try:
+        cls(**fields)
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+# Sizes at and around the tile widths 8, 64 and 256; 257 takes four tiles.
+VALIDATOR_SIZES = [0, 1, 2, 7, 8, 9, 63, 64, 65, 255, 256, 257]
+FAULTS = ["high bit", "self-loop", "one-sided edge", "same-side edge", "label count"]
+
+
+def _planted_graph(n, rng, density_halvings, sided, faults):
+    """A random simple graph on n vertices, then the listed faults planted in turn."""
+    side = [rng.randrange(2) for _ in range(n)] if sided else None
+    adj = [0] * n
+    for v in range(n):
+        w = rng.getrandbits(n) >> (v + 1) << (v + 1)
+        for _ in range(density_halvings):
+            w &= rng.getrandbits(n)
+        if side is not None:
+            w &= sum(1 << u for u in range(n) if side[u] != side[v])
+        adj[v] |= w
+        while w:
+            u = (w & -w).bit_length() - 1
+            adj[u] |= 1 << v
+            w &= w - 1
+    labels = None
+    for fault in faults:
+        if n == 0:
+            break
+        v = rng.randrange(n)
+        if fault == "high bit":
+            adj[v] |= 1 << (n + rng.randrange(70))
+        elif fault == "self-loop":
+            adj[v] |= 1 << v
+        elif fault == "one-sided edge":
+            u = rng.randrange(n)
+            if u != v:
+                adj[v] ^= 1 << u
+        elif fault == "same-side edge":
+            side = side or [0] * n
+            same = [u for u in range(n) if u != v and side[u] == side[v]]
+            if same:
+                u = rng.choice(same)
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+        elif fault == "label count":
+            labels = ("x",) * (n + rng.choice([-1, 1]))
+    return {
+        "n": n,
+        "adj": tuple(adj),
+        "side": None if side is None else tuple(side),
+        "labels": labels,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(VALIDATOR_SIZES),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.booleans(),
+    st.lists(st.sampled_from(FAULTS), max_size=4),
+)
+def test_validator_matches_the_edge_walk(n, seed, density_halvings, sided, faults):
+    fields = _planted_graph(n, random.Random(seed), density_halvings, sided, faults)
+    assert _verdict(Graph, fields) == _verdict(_EdgeWalkGraph, fields)
+
+
+@pytest.mark.parametrize("faults", [[], *([f] for f in FAULTS), FAULTS, FAULTS[::-1]])
+def test_validator_matches_the_edge_walk_at_max_vertices(faults):
+    n = graphcore.MAX_VERTICES
+    fields = _planted_graph(n, random.Random(len(faults)), 6, True, faults)
+    assert _verdict(Graph, fields) == _verdict(_EdgeWalkGraph, fields)
+
+
+def test_validator_names_the_first_fault():
+    # (0,3) is one-sided; row 2 also has a bit at n and row 1 a self-loop
+    adj = (0b1000, 0b0010, 0b10000, 0b0000)
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 0 and 3$"):
+        Graph(n=4, adj=adj)
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph(n=4, adj=(0, 0b0010, 0b10000, 0))
+    with pytest.raises(ValueError, match=r"^edge \(1,2\) does not cross sides$"):
+        Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)], side=[0, 1, 1, 1])
+    # across 256-wide tiles: row 5 has one-sided bits in tiles (0,2) and (0,1)
+    adj = [0] * 600
+    adj[5] = 1 << 590 | 1 << 300
+    adj[7] = 1 << 3
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 5 and 300$"):
+        Graph(n=600, adj=tuple(adj))
+
+
+def test_validator_memory_does_not_grow_with_the_graph():
+    # 5,050 vertices: one packed 8192 x 8192 matrix would take 8 MB per integer
+    g = levi_order1(2, 100)
+    tracemalloc.start()
+    try:
+        Graph(n=g.n, adj=g.adj, side=g.side, labels=g.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_aut_result_order_check_survives_optimize():
