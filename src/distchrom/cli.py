@@ -83,6 +83,8 @@ def _build_family(args) -> graphcore.Graph:
 
 def cmd_family(args) -> int:
     g = _build_family(args)
+    # the other commands refuse larger graph files, so none is written
+    graphcore._check_vertex_count(g.n)
     _write(g.to_json() + "\n" if args.format == "json" else g.to_text(), args)
     return 0
 
@@ -219,8 +221,9 @@ def cmd_gs_montecarlo(args) -> int:
 def cmd_reproduce(args) -> int:
     kwargs = {}
     if args.trials is not None:
-        if args.recipe in ("gs", "kneser", "krs"):
-            kwargs["trials"] = args.trials
+        if args.recipe not in ("gs", "kneser", "krs"):
+            raise ValueError(f"recipe {args.recipe!r} does not read --trials")
+        kwargs["trials"] = args.trials
     report = run_recipe(args.recipe, seed=args.seed, **kwargs)
     report["command"] = f"reproduce {args.recipe}"
     _emit(report, args)

@@ -273,10 +273,10 @@ def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50) -> list[dict]:
         _check(checks, f"gs-plusone-{tag}",
                "line coloring with a recolored origin is proper and distinguishing",
                col.is_proper(g, plus) and ok_dist, gamma=gamma, distinguishing=ok_dist)
-    ls = lovasz_schrijver_check(5, mode="exhaustive")
+    ls = lovasz_schrijver_check(5)
     _check(checks, "gs-ls-q5",
-           "every non-line 5-subset of the grid spans at least 4 directions (exhaustive)",
-           not ls["violations"], checked=ls["checked"], lines_seen=ls["lines_seen"])
+           "every non-line 5-subset of the grid spans at least 4 directions (exhaustive over affine frames)",
+           not ls["violations"], checked=ls["checked"], least_slopes=ls["least_slopes"])
     aut100 = None
     from itertools import combinations
 

@@ -44,6 +44,14 @@ def test_family_error_exit_code(capsys):
     assert "prime power" in err
 
 
+def test_family_refuses_graphs_the_other_commands_refuse(tmp_path, capsys):
+    path = tmp_path / "lg1.graph"
+    code, out, err = run(capsys, "family", "lg1", "--k", "2", "--n", "70", "--out", str(path))
+    assert code == 2
+    assert "graph too large: 2485 > 2000" in err
+    assert not path.exists()
+
+
 def test_aut_and_chi(tmp_path, capsys):
     path = tmp_path / "lg2.graph"
     run(capsys, "family", "levi", "--q", "2", "--out", str(path))
@@ -208,6 +216,14 @@ def test_reproduce_deterministic_and_exit(tmp_path, capsys):
     assert da == db
     assert da["schema"] == "distchrom.report/1"
     assert all(c["passed"] for c in da["checks"])
+
+
+@pytest.mark.parametrize("recipe", ["weak", "all"])
+def test_reproduce_rejects_trials_for_recipes_without_trials(recipe, capsys):
+    code, out, err = run(capsys, "reproduce", recipe, "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert f"recipe {recipe!r} does not read --trials" in err
 
 
 def test_tsv_format(tmp_path, capsys):

@@ -478,17 +478,78 @@ def test_slope_mobius_compatible_with_point_action(q):
         assert lhs == rhs or (lhs is INFINITY and rhs is INFINITY)
 
 
+def _all_subsets_check(q):
+    """The former exhaustive mode: every q-subset of the grid, lines included.
+
+    The loop is the library's old one verbatim, plus the ``least`` lines.
+    """
+    from itertools import combinations
+
+    points = [(x, y) for x in range(q) for y in range(q)]
+    inv = [0] * q
+    for d in range(1, q):
+        inv[d] = pow(d, q - 2, q)
+    # slope encoded as 0..q-1, vertical as q
+    slope_code = [[0] * q for _ in range(q)]
+    for dx in range(q):
+        for dy in range(q):
+            slope_code[dx][dy] = q if dx == 0 else (dy * inv[dx]) % q
+    need = (q + 3) // 2
+    lines = 0
+    checked = 0
+    least = q + 1
+    violations = []
+    iterator = combinations(points, q)
+    for subset in iterator:
+        checked += 1
+        slopes = set()
+        collinear = True
+        first_slope = None
+        for i in range(q):
+            xi, yi = subset[i]
+            for j in range(i + 1, q):
+                xj, yj = subset[j]
+                code = slope_code[(xj - xi) % q][(yj - yi) % q]
+                slopes.add(code)
+                if first_slope is None:
+                    first_slope = code
+                elif code != first_slope:
+                    collinear = False
+        if collinear:
+            lines += 1
+        elif len(slopes) < need:
+            violations.append(subset)
+        if not collinear:
+            least = min(least, len(slopes))
+    return {"checked": checked, "lines_seen": lines, "least_slopes": least, "violations": violations}
+
+
 def test_lovasz_schrijver_exhaustive_q5():
-    report = lovasz_schrijver_check(5, mode="exhaustive")
-    assert report["checked"] == 53130
-    assert report["lines_seen"] == 30
-    assert report["violations"] == []
+    oracle = _all_subsets_check(5)
+    assert oracle["checked"] == math.comb(25, 5) == 53130
+    assert oracle["lines_seen"] == 30  # q(q+1) affine lines
+    report = lovasz_schrijver_check(5)
+    assert report["violations"] == oracle["violations"] == []
+    assert report["checked"] == math.comb(22, 2) == 231
+    assert report["least_slopes"] == oracle["least_slopes"] == 4
+    assert report["required_slopes"] == 4
 
 
-def test_lovasz_schrijver_sampled_q7():
-    report = lovasz_schrijver_check(7, mode="sampled", trials=10**6, seed=0)
-    assert report["checked"] == 10**6
+def test_lovasz_schrijver_exhaustive_q7():
+    report = lovasz_schrijver_check(7)
     assert report["violations"] == []
+    assert report["checked"] == math.comb(46, 4) == 163185
+    assert report["least_slopes"] == report["required_slopes"] == 5
+
+
+def test_lovasz_schrijver_order_is_checked():
+    for q in (2, 4, 9):
+        with pytest.raises(InvalidParameters, match="odd prime"):
+            lovasz_schrijver_check(q)
+    # at q = 3 the frame is the only subset: directions 0, -1 and vertical
+    assert lovasz_schrijver_check(3) == {
+        "q": 3, "checked": 1, "least_slopes": 3, "required_slopes": 3, "violations": []
+    }
 
 
 def test_favorable_fraction_exact_small_q5():
