@@ -219,11 +219,7 @@ def cmd_gs_montecarlo(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    kwargs = {}
-    if args.trials is not None:
-        if args.recipe not in ("gs", "kneser", "krs"):
-            raise ValueError(f"recipe {args.recipe!r} does not read --trials")
-        kwargs["trials"] = args.trials
+    kwargs = {} if args.trials is None else {"trials": args.trials}
     report = run_recipe(args.recipe, seed=args.seed, **kwargs)
     report["command"] = f"reproduce {args.recipe}"
     _emit(report, args)

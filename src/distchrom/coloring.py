@@ -414,6 +414,12 @@ def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
     O(n*k) bits; the words are built once per call unless they would pass
     _WORD_BYTES.  v's feasible colors are read off its field 8 colors at a
     time from cached tables.
+
+    The order and the colors are drawn the way CPython's ``rng.shuffle(order)``
+    and ``rng.choice(feasible)`` draw them, written inline: an index below m
+    takes ``getrandbits(m.bit_length())`` until the draw is below m.  The same
+    words are consumed in the same order, so a seed draws the same coloring
+    without the methods' Python frames.
     """
     if k < 0:
         raise InvalidParameters("need k >= 0")
@@ -431,9 +437,15 @@ def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
     field = (1 << 8 * step) - 1
     (first, _), *rest = [(_free_colors(o, min(8, k - o)), o) for o in range(0, 8 * step, 8)]
     vertices = list(range(n))
+    swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    getrandbits = rng.getrandbits
     for _ in range(MAX_ATTEMPTS):
         order = vertices[:]
-        rng.shuffle(order)
+        for i, bits in swaps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
         colors = [0] * n
         blocked = 0
         for v in order:
@@ -444,7 +456,12 @@ def random_proper_coloring(g: Graph, k: int, seed: int) -> Coloring:
                 feasible += table[f >> o & 255]
             if not feasible:
                 break
-            c = rng.choice(feasible)
+            m = len(feasible)
+            bits = m.bit_length()
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            c = feasible[r]
             colors[v] = c
             blocked |= (words[v] if words else _spread(adj[v], step)) << shift + c
         else:

@@ -8,10 +8,12 @@ actually establish.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from . import coloring as col
 from . import families, graphcore
+from .algebra import InvalidParameters
 from .motion import (
     exact_expected_fixers,
     favorable_fraction,
@@ -488,18 +490,23 @@ RECIPES = {
 
 
 def run_recipe(name: str, seed: int = DEFAULT_SEED, **kwargs) -> dict:
-    """Run one recipe (or ``all``) and report structured pass/fail checks."""
-    if name == "all":
-        checks = []
-        for rname in RECIPES:
-            for chk in RECIPES[rname](seed=seed, **kwargs):
-                chk = dict(chk)
-                chk["id"] = f"{rname}:{chk['id']}"
-                checks.append(chk)
-    elif name in RECIPES:
-        checks = RECIPES[name](seed=seed, **kwargs)
-    else:
-        raise ValueError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)} or 'all'")
+    """Run one recipe (or ``all``) and report structured pass/fail checks.
+
+    Every keyword must be read by the recipe, or by every recipe for ``all``;
+    one that is not raises InvalidParameters before any recipe runs.
+    """
+    if name != "all" and name not in RECIPES:
+        raise InvalidParameters(f"unknown recipe {name!r}; choose from {sorted(RECIPES)} or 'all'")
+    names = list(RECIPES) if name == "all" else [name]
+    for key in kwargs:
+        if any(key not in inspect.signature(RECIPES[rname]).parameters for rname in names):
+            raise InvalidParameters(f"recipe {name!r} does not read --{key}")
+    checks = []
+    for rname in names:
+        for chk in RECIPES[rname](seed=seed, **kwargs):
+            if name == "all":
+                chk = {**chk, "id": f"{rname}:{chk['id']}"}
+            checks.append(chk)
     return {
         "recipe": name,
         "seed": seed,

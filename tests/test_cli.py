@@ -1,5 +1,6 @@
 """Command-line surface: formats, verdicts, exit codes, determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from distchrom import recipes
+from distchrom.algebra import InvalidParameters
 from distchrom.cli import build_parser, main
 from distchrom.coloring import Coloring, random_proper_coloring
 from distchrom.families import kneser_complement, levi_graph
@@ -224,6 +227,22 @@ def test_reproduce_rejects_trials_for_recipes_without_trials(recipe, capsys):
     assert code == 2
     assert out == ""
     assert f"recipe {recipe!r} does not read --trials" in err
+
+
+@pytest.mark.parametrize("recipe", ["weak", "all"])
+def test_run_recipe_rejects_keywords_a_recipe_does_not_read(recipe, monkeypatch):
+    # Each recipe is replaced by a stub that keeps its signature and records
+    # that it ran, so the test sees whether any recipe started.
+    ran = []
+    for name, fn in list(recipes.RECIPES.items()):
+        stub = functools.wraps(fn)(lambda seed, _name=name, **kwargs: ran.append(_name) or [])
+        monkeypatch.setitem(recipes.RECIPES, name, stub)
+    with pytest.raises(InvalidParameters, match=f"recipe {recipe!r} does not read --trials"):
+        recipes.run_recipe(recipe, trials=3)
+    assert ran == []
+    assert recipes.run_recipe("kneser", trials=3)["passed"]
+    assert recipes.run_recipe(recipe)["passed"]
+    assert ran == ["kneser"] + (list(recipes.RECIPES) if recipe == "all" else [recipe])
 
 
 def test_tsv_format(tmp_path, capsys):

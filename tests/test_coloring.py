@@ -439,6 +439,18 @@ def test_sampler_matches_the_restarting_reference(g, data, seed, spread_each_use
         assert _draw_or_infeasible(random_proper_coloring, g, k, seed) == expected
 
 
+def test_sampler_matches_the_restarting_reference_on_restart_heavy_draws():
+    # kneser_complement(7,3) at k = 18 restarts about 114 times a draw, so each
+    # draw replays thousands of shuffle and choice draws; the reference calls
+    # rng.shuffle and rng.choice themselves.
+    kc = kneser_complement(7, 3)
+    krs, _ = levi_tensor_krs(5, 2, 2)
+    cases = [(kc, 18, derive_seed(DEFAULT_SEED, "kneser18-reference", i)) for i in range(20)]
+    cases += [(krs, 4, derive_seed(DEFAULT_SEED, "krs4-reference", i)) for i in range(5)]
+    for g, k, seed in cases:
+        assert random_proper_coloring(g, k, seed) == _restarting_reference_sampler(g, k, seed)
+
+
 # sha256 of repr() of the drawn color tuples, recorded before the sampler kept
 # one vertex mask per color; every seed must still draw the same coloring
 SAMPLER_DIGEST = "f600e77ebb2fa6d5f5c65fb9cfbb341a739ae17a8b1c4bb47ff991a8a4cfb0b9"
