@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -134,7 +135,7 @@ class MotionReport:
         return payload
 
 
-def motion(elements: list[Perm]) -> int:
+def motion(elements: Iterable[Perm]) -> int:
     """Minimum number of points moved by a nontrivial element."""
     best = None
     for p in elements:
@@ -196,15 +197,19 @@ def _class_arithmetic(pts: list[int], degree: int):
     return cls, tuple, compose, invert, fixed_count, tuple(range(degree))
 
 
-def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) -> MotionReport:
+def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1) -> MotionReport:
     """Exact expected number of elements fixing every class after a t-split.
 
-    ``c1`` is the vertex set of the class to be split and ``elements`` the
-    full list of group elements, identity included, all of one degree; every
-    element must stabilize ``c1`` setwise and the list must be closed under
-    inverses.  The sum includes the identity's contribution of exactly 1, and
-    the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it is
-    computed.  ``theta_histogram`` is sorted by theta.  The sum runs in one
+    ``c1`` is the vertex set of the class to be split and ``elements`` a
+    sequence of the group's elements, identity included, all of one degree,
+    such as ``closure`` returns; it is read once, front to back, besides
+    ``elements[0]`` and ``len(elements)``.  Every element must stabilize
+    ``c1`` setwise, and the caller passes a whole group: the inverse-pair
+    count below refuses only a sequence whose pair weights do not add up to
+    its length, which is necessary for closure under inverses but not
+    sufficient.  The sum includes the identity's contribution of exactly 1,
+    and the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it
+    is computed.  ``theta_histogram`` is sorted by theta.  The sum runs in one
     process: ``threads`` accepts only 1, and is kept because the benchmark
     harness (``bench/workloads.py``) still passes ``threads=1``.
     """
@@ -219,8 +224,6 @@ def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) ->
         raise InvalidParameters("the class is empty")
     size = len(pts)
     degree = len(elements[0])
-    if set(map(len, elements)) != {degree}:
-        raise InvalidParameters("elements must share a degree")
     if pts[0] < 0 or pts[-1] >= degree:
         bad = pts[0] if pts[0] < 0 else pts[-1]
         raise InvalidParameters(f"class point {bad} is not a point of the degree-{degree} action")
@@ -234,17 +237,21 @@ def exact_expected_fixers(c1, elements: list[Perm], t: int, threads: int = 1) ->
     # bijection of the group that sends sigma to sigma^-1, and p and p^-1 have
     # the same theta and the same fixed count, so only the element whose
     # sigma is not larger than its inverse is evaluated, with weight 2, or 1
-    # when sigma == sigma^-1.  The weights of a list closed under inverses sum
-    # to its length, which is checked below.  Theta, the number of orbits of
-    # <sigma> on the class, follows from Burnside's lemma: (1/o) * sum over
-    # d | o of phi(o/d) * fix(sigma^d), where o, the order of sigma, is found
-    # by stepping through its powers.  An order up to |class| shows within
-    # |class| steps; an element of larger order (lcm of cycle lengths, each at
-    # most |class|) takes theta from one walk over its cycles instead of
-    # stepping through all o powers.  Every element, skipped or not, is
-    # checked to permute the class: sigma^-1 is computed as if it did, and
+    # when sigma == sigma^-1.  The weights of a sequence closed under inverses
+    # sum to its length, and only that sum is checked below: a sequence that
+    # is not closed under inverses can pass it, so the caller passes a group.
+    # Theta, the number of orbits of <sigma> on the class, follows from
+    # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
+    # where o, the order of sigma, is found by stepping through its powers.
+    # An order up to |class| shows within |class| steps; an element of larger
+    # order (lcm of cycle lengths, each at most |class|) takes theta from one
+    # walk over its cycles instead of stepping through all o powers.  Every
+    # element, skipped or not, is checked to have the first element's degree
+    # and to permute the class: sigma^-1 is computed as if it did, and
     # sigma(sigma^-1) is the identity exactly when it does.
     for p in elements:
+        if len(p) != degree:
+            raise InvalidParameters("elements must share a degree")
         table = extend(p)
         sigma = compose(cls, table)
         inverse = compose(cls, invert(sigma, cls))

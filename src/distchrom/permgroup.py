@@ -1,16 +1,21 @@
 """Permutations on finite point sets and groups given by generators.
 
 A permutation is a plain tuple of images: ``p[i]`` is the image of point ``i``.
-Hot paths (stabilizer chains and the element lists read off them) convert to
-``bytes`` when the degree allows it, so that composition becomes a single
-``bytes.translate`` call.
+Hot paths (stabilizer chains and the element sequences built off them) convert
+to ``bytes`` when the degree allows it, so that composition becomes a single
+``bytes.translate`` call.  A group's elements are never stored: ``closure``
+returns a sequence that builds them from the chain's transversals as it is
+read.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import index
 
 from .algebra import InvalidParameters, binomial
 
@@ -34,7 +39,9 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-# Largest group whose element list ``closure`` will build.
+# Largest group whose elements ``closure`` will enumerate.  Elements are built
+# as they are read, never stored, so the cap bounds enumeration time, not
+# memory.
 MAX_ELEMENTS = 10_000_000
 
 
@@ -99,11 +106,6 @@ class _Chain:
         if self._bytes:
             return bytes(p) + self._id[self.degree :]
         return p
-
-    def _trim(self, e):
-        if self._bytes:
-            return e[: self.degree]
-        return e
 
     def _mul(self, a, b):
         if self._bytes:
@@ -201,37 +203,61 @@ class _Chain:
             n *= len(trans)
         return n
 
-    def elements(self) -> list:
-        """Every group element, each once, as u_{m-1} * ... * u_1 * u_0.
 
-        u_i runs over level i's transversal and the product applies u_{m-1}
-        first.  Loops nest from level m-1 (outermost) down to level 0
-        (innermost); each partial product u_{m-1} * ... * u_i is formed once,
-        so level 0, usually the longest orbit, costs one multiplication per
-        element.  Every transversal starts with the identity, so the
-        identity comes first.
-        """
-        levels = [list(trans.values()) for trans in self.trans]
-        out: list = []
-        if levels:
-            self._products(levels, len(levels) - 1, self._id, out)
-        else:
-            out.append(self._trim(self._id))
-        return out
+class _Elements(Sequence):
+    """Every element of a group, built off its stabilizer chain as it is read.
 
-    def _products(self, levels: list, lvl: int, prefix, out: list) -> None:
-        # A method, not a nested recursive closure: such a closure would form
-        # a reference cycle holding ``out`` alive until the cyclic collector
-        # runs, long after the caller has dropped the element list.
+    Element i is u_{m-1} * ... * u_1 * u_0, applying u_{m-1} first, where u_j
+    is entry d_j of level j's transversal and i = d_0 + |U_0| * (d_1 + |U_1| *
+    (d_2 + ...)).  Iteration therefore nests from level m-1 (outermost) down
+    to level 0 (innermost); each partial product u_{m-1} * ... * u_1 is formed
+    once, so level 0, usually the longest orbit, costs one multiplication per
+    element.  Every transversal starts with the identity, so the identity
+    comes first.  Only the transversals are kept: each pass builds the
+    elements anew, and indexing multiplies m transversal elements.
+    """
+
+    __slots__ = ("_levels", "_degree", "_id", "_len", "_mul")
+
+    def __init__(self, stab: _Chain):
+        # A chain without levels belongs to the trivial group.
+        self._levels = [list(trans.values()) for trans in stab.trans] or [[stab._id]]
+        self._degree = stab.degree
+        self._id = stab._id
+        self._len = math.prod(map(len, self._levels))
+        self._mul = bytes.translate if stab._bytes else compose
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _heads(self, lvl: int, prefix):
+        # The products u_{m-1} * ... * u_1 in iteration order, cut to the
+        # degree (bytes tables are 256 long).
         if lvl == 0:
-            head = self._trim(prefix)
-            if self._bytes:
-                out.extend(map(head.translate, levels[0]))
-            else:
-                out.extend([compose(head, u) for u in levels[0]])
+            yield prefix[: self._degree]
             return
-        for u in levels[lvl]:
-            self._products(levels, lvl - 1, self._mul(prefix, u), out)
+        for u in self._levels[lvl]:
+            yield from self._heads(lvl - 1, self._mul(prefix, u))
+
+    def __iter__(self):
+        mul, level0 = self._mul, self._levels[0]
+        heads = self._heads(len(self._levels) - 1, self._id)
+        return chain.from_iterable(map(mul, repeat(head), level0) for head in heads)
+
+    def __getitem__(self, i):
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("group element index out of range")
+        p = self._id
+        factors = []
+        for level in self._levels:
+            i, d = divmod(i, len(level))
+            factors.append(level[d])
+        for u in reversed(factors):
+            p = self._mul(p, u)
+        return p[: self._degree]
 
 
 def _chain_of(generators: list[Perm]) -> _Chain:
@@ -252,23 +278,24 @@ def group_order(generators: list[Perm]) -> int:
     return _chain_of(generators).order()
 
 
-def closure(generators: list[Perm]) -> list:
-    """Full element list of the generated group, read off its stabilizer chain.
+def closure(generators: list[Perm]) -> Sequence:
+    """Every element of the generated group, as a sequence over its stabilizer chain.
 
-    The identity comes first; the order is otherwise the chain's product
-    order (see ``_Chain.elements``), deterministic for a fixed generator
-    list.  Raises TooLarge, before any element is built, when the group
-    order exceeds MAX_ELEMENTS.
+    The sequence stores no element: each pass builds them while it runs,
+    and ``els[i]`` builds one.  The identity comes first; the order is
+    otherwise the chain's product order (see ``_Elements``), deterministic
+    for a fixed generator list.  Raises TooLarge, before any element is
+    built, when the group order exceeds MAX_ELEMENTS.
 
-    For degree <= 256 the elements are returned as ``bytes`` image sequences
-    (indexable exactly like tuples, an order of magnitude smaller in memory,
-    and composable at C speed); larger degrees fall back to tuples.
+    For degree <= 256 the elements are ``bytes`` image sequences (indexable
+    exactly like tuples, an order of magnitude smaller in memory, and
+    composable at C speed); larger degrees fall back to tuples.
     """
-    chain = _chain_of(generators)
-    order = chain.order()
+    stab = _chain_of(generators)
+    order = stab.order()
     if order > MAX_ELEMENTS:
         raise TooLarge(f"group order {order} exceeds {MAX_ELEMENTS}")
-    return chain.elements()
+    return _Elements(stab)
 
 
 @dataclass
@@ -284,7 +311,8 @@ class GroupSpec:
             if len(g) != self.degree:
                 raise ValueError("generator degree mismatch")
 
-    def elements(self) -> list[Perm]:
+    def elements(self) -> Sequence:
+        """The group's elements, built while they are read (see ``closure``)."""
         return closure(self.generators)
 
     def order(self) -> int:

@@ -7,6 +7,8 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +107,56 @@ def test_exact_expected_fixers_errors():
         exact_expected_fixers([0, 1], [(0, 1, 2, 3), (1, 0, 2, 3, 4)], 2)
     with pytest.raises(InvalidParameters, match="two class points to one point"):
         exact_expected_fixers([0, 1], [(0, 1, 2), (0, 0, 2)], 2)
+
+
+class _CountingSequence(Sequence):
+    """A sequence that counts the passes made over it."""
+
+    def __init__(self, elements):
+        self.elements = elements
+        self.passes = 0
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, i):
+        return self.elements[i]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.elements)
+
+
+def test_exact_expected_fixers_reads_its_elements_once():
+    from distchrom.permgroup import induced_action_on_ksets
+
+    els = induced_action_on_ksets(6, 2).elements()
+    counted = _CountingSequence(els)
+    rep = exact_expected_fixers(range(15), counted, 2)
+    assert counted.passes == 1
+    assert rep == _reference_fixers(range(15), list(els), 2)
+    # an element of another degree is refused wherever it sits
+    listed = list(els)
+    for at in (1, len(listed) // 2, len(listed)):
+        mixed = listed[:at] + [bytes(range(14))] + listed[at:]
+        with pytest.raises(InvalidParameters, match="elements must share a degree"):
+            exact_expected_fixers(range(15), mixed, 2)
+
+
+def test_exact_expected_fixers_holds_no_element_list():
+    # S7 on 3-sets has 5,040 elements of degree 35: as a list they take about
+    # 400 KB, while the whole certificate, group built from its generators,
+    # peaks near 34 KB when the elements are built as they are read.
+    from distchrom.permgroup import induced_action_on_ksets
+
+    tracemalloc.start()
+    try:
+        rep = exact_expected_fixers(range(35), induced_action_on_ksets(7, 3).elements(), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.group_order == 5040
+    assert peak < 128 * 1024
 
 
 def test_exact_expected_fixers_threads_match():
@@ -220,7 +272,7 @@ def fixer_cases(draw):
         block += range(a, a + b)
     if draw(st.booleans()):
         block += range(a + b, n)
-    elements = closure(relabelled)
+    elements = list(closure(relabelled))
     if draw(st.booleans()):
         elements = [tuple(p) for p in elements]
     draw(st.randoms(use_true_random=False)).shuffle(elements)

@@ -13,6 +13,7 @@ from distchrom.families import pgl3_action
 from distchrom.permgroup import (
     GroupSpec,
     TooLarge,
+    _chain_of,
     closure,
     compose,
     group_order,
@@ -96,6 +97,73 @@ def test_closure_matches_sympy(gens):
     els = closure(gens)
     assert len(els) == len(expected)
     assert {tuple(e) for e in els} == expected
+
+
+def _eager_elements(chain):
+    # The list builder that ``closure`` used before it streamed its elements
+    # (``_Chain.elements`` and ``_Chain._products``), kept verbatim but for
+    # ``self`` becoming ``chain`` and ``_trim`` written out, as the order oracle.
+    def trim(e):
+        if chain._bytes:
+            return e[: chain.degree]
+        return e
+
+    levels = [list(trans.values()) for trans in chain.trans]
+    out = []
+    if levels:
+        _eager_products(chain, trim, levels, len(levels) - 1, chain._id, out)
+    else:
+        out.append(trim(chain._id))
+    return out
+
+
+def _eager_products(chain, trim, levels, lvl, prefix, out):
+    if lvl == 0:
+        head = trim(prefix)
+        if chain._bytes:
+            out.extend(map(head.translate, levels[0]))
+        else:
+            out.extend([compose(head, u) for u in levels[0]])
+        return
+    for u in levels[lvl]:
+        _eager_products(chain, trim, levels, lvl - 1, chain._mul(prefix, u), out)
+
+
+def dihedral_300():
+    n = 300
+    return [tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n))]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [s_n_gens(5), induced_action_on_ksets(6, 2).generators, pgl3_action(2).generators, dihedral_300()],
+    ids=["S5", "S6-on-2-sets", "PGL(3,2)", "D300"],
+)
+def test_closure_streams_the_eager_list_in_order(gens):
+    els = closure(gens)
+    expected = _eager_elements(_chain_of(gens))
+    assert len(els) == len(expected)
+    assert list(els) == expected
+    assert {type(e) for e in els} == {bytes if len(gens[0]) <= 256 else tuple}
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [s_n_gens(5), pgl3_action(2).generators, dihedral_300(), [identity(4)]],
+    ids=["S5", "PGL(3,2)", "D300", "trivial"],
+)
+def test_closure_indexing_matches_iteration(gens):
+    els = closure(gens)
+    first = list(els)
+    assert list(els) == first  # a second pass builds the same elements
+    n = len(els)
+    assert n == len(first) == group_order(gens)
+    for i in range(n):
+        assert els[i] == first[i]
+        assert els[-1 - i] == first[-1 - i]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            els[bad]
 
 
 def test_closure_size_divides_supergroup():
