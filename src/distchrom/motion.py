@@ -23,7 +23,7 @@ from .algebra import InvalidParameters, binomial, least_prime_divisor, partition
 from .coloring import Coloring, is_distinguishing, is_proper, split_color_class
 from .families import INFINITY, _check_grid_order, slope_graph
 from .graphcore import Graph, SearchTimeout, automorphism_group
-from .permgroup import Perm, orbit_count_on
+from .permgroup import Perm, _Elements, closure, orbit_count_on
 from .seeds import derive_seed
 
 __all__ = [
@@ -161,12 +161,11 @@ def _class_arithmetic(pts: list[int], degree: int):
     """Operations on restrictions to a class: bytes up to degree 256, else tuples.
 
     A restriction lists the images of the class points ``cls`` in order, so
-    ``cls`` itself is the identity.  Returns (cls, extend, compose, invert,
+    ``cls`` itself is the identity.  Returns (cls, extend, compose,
     fixed_count, identity): ``extend(p)`` turns an element into a table,
-    ``compose(q, table)[i] == table[q[i]]``, ``invert(q, cls)`` is a table
-    that sends each ``q[i]`` back to ``cls[i]`` and fixes every class point
-    ``q`` misses, ``fixed_count(q)`` counts the positions where ``q`` agrees
-    with ``cls``, and ``identity`` is the identity element as a table.
+    ``compose(q, table)[i] == table[q[i]]``, ``fixed_count(q)`` counts the
+    positions where ``q`` agrees with ``cls``, and ``identity`` is the
+    identity element as a table.
     """
     size = len(pts)
     if degree <= 256:
@@ -180,43 +179,53 @@ def _class_arithmetic(pts: list[int], degree: int):
         def fixed_count(q):
             return (int.from_bytes(q, "little") ^ cls_int).to_bytes(size, "little").count(0)
 
-        return cls, extend, bytes.translate, bytes.maketrans, fixed_count, bytes(range(256))
+        return cls, extend, bytes.translate, fixed_count, bytes(range(256))
     cls = tuple(pts)
 
     def compose(q, table):
         return tuple(map(table.__getitem__, q))
 
-    def invert(q, targets):
-        back = dict(zip(targets, targets))
-        back.update(zip(q, targets))
-        return back
-
     def fixed_count(q):
         return sum(map(eq, q, cls))
 
-    return cls, tuple, compose, invert, fixed_count, tuple(range(degree))
+    return cls, tuple, compose, fixed_count, tuple(range(degree))
+
+
+def _check_stabilizes(p, pts: list[int], inside: frozenset) -> None:
+    """Refuse an element that does not map the class onto itself."""
+    images = set()
+    for v in pts:
+        image = p[v]
+        if image not in inside:
+            raise InvalidParameters(f"element moves {v} out of the class")
+        images.add(image)
+    if len(images) < len(pts):
+        raise InvalidParameters("element maps two class points to one point")
 
 
 def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1) -> MotionReport:
     """Exact expected number of elements fixing every class after a t-split.
 
-    ``c1`` is the vertex set of the class to be split and ``elements`` a
-    sequence of the group's elements, identity included, all of one degree,
-    such as ``closure`` returns; it is read once, front to back, besides
-    ``elements[0]`` and ``len(elements)``.  Every element must stabilize
-    ``c1`` setwise, and the caller passes a whole group: the inverse-pair
-    count below refuses only a sequence whose pair weights do not add up to
-    its length, which is necessary for closure under inverses but not
-    sufficient.  The sum includes the identity's contribution of exactly 1,
-    and the per-element cycle bound 2*theta <= fixed + |c1| is recorded as it
-    is computed.  ``theta_histogram`` is sorted by theta.  The sum runs in one
-    process: ``threads`` accepts only 1, and is kept because the benchmark
-    harness (``bench/workloads.py``) still passes ``threads=1``.
+    ``c1`` is the vertex set of the class to be split and ``elements`` the
+    elements of a group that stabilizes ``c1`` setwise.  The sequence
+    ``closure`` returns is summed as it stands, once every transversal
+    element of its chain, and so every element of the group, is checked to
+    stabilize ``c1``.  Any other sequence is read once into a list; each of
+    its elements must have the first one's degree and stabilize ``c1``, and
+    the list must hold as many distinct elements as the group they generate
+    has, so that it is that group; the sum then runs over the group's
+    ``closure``.  The sum includes the identity's contribution of exactly 1,
+    and the per-element cycle bound 2*theta <= fixed + |c1| is recorded as
+    it is computed.  ``theta_histogram`` is sorted by theta.  The sum runs
+    in one process: ``threads`` accepts only 1, and is kept because the
+    benchmark harness (``bench/workloads.py``) still passes ``threads=1``.
     """
     if threads != 1:
         raise InvalidParameters(f"threads must be 1, got {threads}")
     if t < 2:
         raise InvalidParameters("need t >= 2")
+    if not isinstance(elements, _Elements):
+        elements = list(elements)
     if not elements:
         raise InvalidParameters("need at least the identity")
     pts = sorted(set(c1))
@@ -227,43 +236,43 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     if pts[0] < 0 or pts[-1] >= degree:
         bad = pts[0] if pts[0] < 0 else pts[-1]
         raise InvalidParameters(f"class point {bad} is not a point of the degree-{degree} action")
-    cls, extend, compose, invert, fixed_count, identity = _class_arithmetic(pts, degree)
+    inside = frozenset(pts)
+    if isinstance(elements, _Elements):
+        group = elements
+        for level in group._levels:
+            for u in level:
+                _check_stabilizes(u, pts, inside)
+    else:
+        for p in elements:
+            if len(p) != degree:
+                raise InvalidParameters("elements must share a degree")
+            _check_stabilizes(p, pts, inside)
+        if len(set(map(tuple, elements))) != len(elements):
+            raise InvalidParameters("element list repeats an element")
+        group = closure(elements)
+        if len(group) != len(elements):
+            raise InvalidParameters(
+                f"element list is not a group: it generates one of order {len(group)}, not {len(elements)}"
+            )
+    cls, extend, compose, fixed_count, identity = _class_arithmetic(pts, degree)
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
-    weight = 0
     terms: dict[int, list[tuple[int, int]]] = {}
-    # sigma is an element's restriction to the class.  p -> p^-1 is a
-    # bijection of the group that sends sigma to sigma^-1, and p and p^-1 have
-    # the same theta and the same fixed count, so only the element whose
-    # sigma is not larger than its inverse is evaluated, with weight 2, or 1
-    # when sigma == sigma^-1.  The weights of a sequence closed under inverses
-    # sum to its length, and only that sum is checked below: a sequence that
-    # is not closed under inverses can pass it, so the caller passes a group.
+    # sigma is an element's restriction to the class.  Conjugation by an
+    # element of the group keeps sigma's cycle type, and so theta, the fixed
+    # count and whether the element is the identity, so the sum runs over
+    # one coset per suborbit of the base point's stabilizer, each element
+    # weighted by its suborbit's size (see ``_Elements.suborbit_weighted``).
     # Theta, the number of orbits of <sigma> on the class, follows from
     # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
     # where o, the order of sigma, is found by stepping through its powers.
     # An order up to |class| shows within |class| steps; an element of larger
     # order (lcm of cycle lengths, each at most |class|) takes theta from one
-    # walk over its cycles instead of stepping through all o powers.  Every
-    # element, skipped or not, is checked to have the first element's degree
-    # and to permute the class: sigma^-1 is computed as if it did, and
-    # sigma(sigma^-1) is the identity exactly when it does.
-    for p in elements:
-        if len(p) != degree:
-            raise InvalidParameters("elements must share a degree")
+    # walk over its cycles instead of stepping through all o powers.
+    for p, w in group.suborbit_weighted():
         table = extend(p)
         sigma = compose(cls, table)
-        inverse = compose(cls, invert(sigma, cls))
-        if compose(inverse, table) != cls:
-            v = next((v for v in pts if p[v] not in cls), None)
-            if v is None:
-                raise InvalidParameters("element maps two class points to one point")
-            raise InvalidParameters(f"element moves {v} out of the class")
-        if inverse < sigma:
-            continue
-        w = 1 if inverse == sigma else 2
-        weight += w
         fixed = fixed_count(sigma)
         powers = [sigma]
         q = sigma
@@ -286,9 +295,7 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
         histogram[theta] = histogram.get(theta, 0) + w
         if (fixed < size or table != identity) and (f_max is None or fixed > f_max):
             f_max = fixed
-    order = len(elements)
-    if weight != order:
-        raise InvalidParameters("element list is not closed under inverses")
+    order = len(group)
     histogram = dict(sorted(histogram.items()))
     numerator = sum(count * t**theta for theta, count in histogram.items())
     exact_en = Fraction(numerator, t**size)

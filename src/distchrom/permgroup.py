@@ -77,7 +77,7 @@ def perm_from_cycles(degree: int, cycles) -> Perm:
 
 def _check_perm(p: Perm) -> None:
     if sorted(p) != list(range(len(p))):
-        raise ValueError("not a permutation")
+        raise InvalidParameters("not a permutation")
 
 
 class _Chain:
@@ -213,15 +213,22 @@ class _Elements(Sequence):
     to level 0 (innermost); each partial product u_{m-1} * ... * u_1 is formed
     once, so level 0, usually the longest orbit, costs one multiplication per
     element.  Every transversal starts with the identity, so the identity
-    comes first.  Only the transversals are kept: each pass builds the
-    elements anew, and indexing multiplies m transversal elements.
+    comes first.  Only the transversals and level 0's base point are kept:
+    each pass builds the elements anew, and indexing multiplies m transversal
+    elements.
+
+    The heads u_{m-1} * ... * u_1 are the stabilizer H of the base point b0,
+    and element head * t_x is the one of its coset that sends b0 to x, so
+    ``suborbit_weighted`` can pick one coset per orbit of H on level 0's
+    points.
     """
 
-    __slots__ = ("_levels", "_degree", "_id", "_len", "_mul")
+    __slots__ = ("_levels", "_base", "_degree", "_id", "_len", "_mul")
 
     def __init__(self, stab: _Chain):
         # A chain without levels belongs to the trivial group.
         self._levels = [list(trans.values()) for trans in stab.trans] or [[stab._id]]
+        self._base = stab.base[0] if stab.base else 0
         self._degree = stab.degree
         self._id = stab._id
         self._len = math.prod(map(len, self._levels))
@@ -243,6 +250,39 @@ class _Elements(Sequence):
         mul, level0 = self._mul, self._levels[0]
         heads = self._heads(len(self._levels) - 1, self._id)
         return chain.from_iterable(map(mul, repeat(head), level0) for head in heads)
+
+    def suborbit_weighted(self):
+        """Pairs (element, weight) whose weights sum to ``len(self)``.
+
+        Let H be the stabilizer of the base point b0 and C_x the coset of
+        elements that send b0 to x.  Conjugation by k in H maps C_x onto
+        C_{x^k}, so any quantity that conjugation by H keeps takes the same
+        values, as a multiset, on every coset of one H-orbit.  Yields every
+        element of C_x for one point x of each orbit, x the first of it in
+        level 0's order, weighted by the orbit's size: heads outermost,
+        representatives innermost, one multiplication per element.  The
+        orbits come from a search over level 0's points with every
+        transversal element of the levels above as a generator of H.
+        """
+        mul, level0, b0 = self._mul, self._levels[0], self._base
+        gens = [u for level in self._levels[1:] for u in level]
+        seen: set[int] = set()
+        reps = []
+        for t in level0:
+            x = t[b0]
+            if x in seen:
+                continue
+            seen.add(x)
+            orbit = [x]
+            for y in orbit:
+                for g in gens:
+                    z = g[y]
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            reps.append((t, len(orbit)))
+        heads = self._heads(len(self._levels) - 1, self._id)
+        return ((mul(head, t), weight) for head in heads for t, weight in reps)
 
     def __getitem__(self, i):
         i = index(i)

@@ -34,7 +34,7 @@ from distchrom.motion import (
     slope_mobius,
     weak_bound,
 )
-from distchrom.permgroup import closure, perm_from_cycles
+from distchrom.permgroup import closure, induced_action_on_ksets, perm_from_cycles
 
 
 def cycle(n):
@@ -128,8 +128,6 @@ class _CountingSequence(Sequence):
 
 
 def test_exact_expected_fixers_reads_its_elements_once():
-    from distchrom.permgroup import induced_action_on_ksets
-
     els = induced_action_on_ksets(6, 2).elements()
     counted = _CountingSequence(els)
     rep = exact_expected_fixers(range(15), counted, 2)
@@ -147,8 +145,6 @@ def test_exact_expected_fixers_holds_no_element_list():
     # S7 on 3-sets has 5,040 elements of degree 35: as a list they take about
     # 400 KB, while the whole certificate, group built from its generators,
     # peaks near 34 KB when the elements are built as they are read.
-    from distchrom.permgroup import induced_action_on_ksets
-
     tracemalloc.start()
     try:
         rep = exact_expected_fixers(range(35), induced_action_on_ksets(7, 3).elements(), 2)
@@ -164,11 +160,46 @@ def test_exact_expected_fixers_threads_match():
     # it gives the reference kernel's report on the C4 stabilizer, S7 on
     # 2-sets, and S5 x S4 on two blocks split on the (relabelled) first
     # block, a restriction that is not faithful
-    from distchrom.permgroup import induced_action_on_ksets
-
     els = dihedral_c4()
     stab = [p for p in els if set(p[v] for v in (0, 2)) == {0, 2}]
     els7 = induced_action_on_ksets(7, 2).elements()
+    block, relabelled = _s5_s4_relabelled()
+    cases = [([0, 2], stab), (range(21), els7), (block, closure(relabelled))]
+    for c1, group in cases:
+        assert exact_expected_fixers(c1, group, 2, threads=1) == _reference_fixers(c1, group, 2)
+    for threads in (0, 2):
+        with pytest.raises(InvalidParameters, match="threads must be 1"):
+            exact_expected_fixers([0, 2], stab, 2, threads=threads)
+
+
+def test_exact_expected_fixers_refuses_lists_that_are_not_groups():
+    # a list is summed only when it is the whole group its elements generate
+    a = perm_from_cycles(4, [(0, 1, 2)])
+    with pytest.raises(InvalidParameters, match="is not a group"):
+        exact_expected_fixers([0, 1, 2, 3], [(0, 1, 2, 3), (1, 2, 0, 3), (3, 0, 1, 2)], 2)
+    with pytest.raises(InvalidParameters, match="repeats an element"):
+        exact_expected_fixers(range(4), [tuple(range(4)), a, a], 2)
+    with pytest.raises(InvalidParameters, match="not a permutation"):
+        exact_expected_fixers([0, 1], [(0, 1, 2, 3), (1, 0, 2, 2)], 2)
+    group = list(closure([perm_from_cycles(4, [(0, 1)]), perm_from_cycles(4, [(0, 1, 2, 3)])]))
+    assert exact_expected_fixers(range(4), group, 2) == _reference_fixers(range(4), group, 2)
+    for i in range(len(group)):
+        with pytest.raises(InvalidParameters, match="is not a group"):
+            exact_expected_fixers(range(4), group[:i] + group[i + 1 :], 2)
+
+
+def _regular_s4():
+    # S4 on its own elements by right multiplication: the base point's
+    # stabilizer is trivial, so every coset is a suborbit of its own
+    s4 = [perm_from_cycles(4, [(0, 1)]), perm_from_cycles(4, [(0, 1, 2, 3)])]
+    els = [tuple(e) for e in closure(s4)]
+    where = {e: i for i, e in enumerate(els)}
+    return [tuple(where[tuple(g[x] for x in e)] for e in els) for g in s4]
+
+
+def _s5_s4_relabelled():
+    # S5 x S4 on two blocks, split on the relabelled first block: the
+    # restriction to the class is not faithful
     rho = [(5 * i + 2) % 9 for i in range(9)]
     gens = [
         perm_from_cycles(9, [(0, 1)]),
@@ -176,13 +207,46 @@ def test_exact_expected_fixers_threads_match():
         perm_from_cycles(9, [(5, 6)]),
         perm_from_cycles(9, [(5, 6, 7, 8)]),
     ]
-    relabelled = [tuple(rho[g[rho.index(i)]] for i in range(9)) for g in gens]
-    cases = [([0, 2], stab), (range(21), els7), ([rho[v] for v in range(5)], closure(relabelled))]
-    for c1, group in cases:
-        assert exact_expected_fixers(c1, group, 2, threads=1) == _reference_fixers(c1, group, 2)
-    for threads in (0, 2):
-        with pytest.raises(InvalidParameters, match="threads must be 1"):
-            exact_expected_fixers([0, 2], stab, 2, threads=threads)
+    return [rho[v] for v in range(5)], [tuple(rho[g[rho.index(i)]] for i in range(9)) for g in gens]
+
+
+SUBORBIT_CASES = {
+    # rank 4: a 3-set meets the base 3-set in 3, 2, 1 or 0 points
+    "S7-on-3-sets": lambda: (range(35), induced_action_on_ksets(7, 3).generators, 2),
+    "S5xS4-relabelled": lambda: (*_s5_s4_relabelled(), 3),
+    "regular-S4": lambda: (range(24), _regular_s4(), 2),
+    "trivial": lambda: (range(5), [tuple(range(5))], 2),
+    # tuples above degree 256; the class is every point
+    "D300": lambda: (
+        range(300),
+        [tuple((i + 1) % 300 for i in range(300)), tuple(-i % 300 for i in range(300))],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBORBIT_CASES))
+def test_fixer_sum_over_suborbits_matches_the_reference(name):
+    c1, gens, t = SUBORBIT_CASES[name]()
+    els = closure(gens)
+    assert exact_expected_fixers(c1, els, t) == _reference_fixers(c1, list(els), t)
+
+
+def test_levi_q7_exact_certificate():
+    # PGL(3,7) on the 114 points and lines of PG(2,7), the 57 points split
+    # in two; the value is the one the sum over all 5,630,688 elements gives
+    from distchrom.families import pgammal3_action
+
+    rep = exact_expected_fixers(range(57), pgammal3_action(7).elements(), 2)
+    assert rep.group_order == 5_630_688
+    assert rep.exact_EN == Fraction(1126090150368183, 2**50)
+    assert rep.F_max == 9
+    assert rep.theta_histogram == {
+        1: 1185408, 3: 1531152, 5: 1206576, 7: 268128, 9: 718200, 13: 156408, 15: 315552,
+        17: 122892, 19: 65856, 21: 52136, 25: 5586, 33: 2793, 57: 1,
+    }
+    assert rep.lemma_satisfied
+    assert rep.exact_EN < levi_bound(7, 2).as_fraction()
 
 
 def _reference_fixer_chunk(args):
@@ -306,10 +370,11 @@ def test_elements_of_order_above_the_class_size_stay_cheap():
 
 # Two planted faults the fixer sum must refuse, run in-process and under
 # python -O.  S4 on {0,1,2,3} with two fixed points 4 and 5 and the class
-# {0,1,2,3}: dropping any element that is not its own inverse must fail the
-# inverse-pair count, and each element whose restriction sorts after its
-# inverse's (the member of the pair left unevaluated) must still be caught
-# when it is altered to send a class point to 4.
+# {0,1,2,3}: dropping any element that is not its own inverse must be
+# refused as not a group, and each element whose restriction sorts after its
+# inverse's (the member of the pair an inverse-pair sum would leave
+# unevaluated) must still be caught when it is altered to send a class point
+# to 4.
 PLANTED_FAULTS = """
 from distchrom.motion import InvalidParameters, exact_expected_fixers
 from distchrom.permgroup import closure, inverse, perm_from_cycles
@@ -325,7 +390,7 @@ group = closure([perm_from_cycles(6, [(0, 1)]), perm_from_cycles(6, [(0, 1, 2, 3
 exact_expected_fixers(range(4), group, 2)
 unpaired = [p for p in group if inverse(tuple(p)) != tuple(p)]
 skipped = [p for p in group if bytes(inverse(tuple(p))[:4]) < p[:4]]
-missing = [refused([q for q in group if q != p], "not closed under inverses") for p in unpaired]
+missing = [refused([q for q in group if q != p], "is not a group") for p in unpaired]
 moved = []
 for p in skipped:
     for v in range(4):
@@ -386,8 +451,6 @@ def _cycle_index_histogram(n, k):
 
 @pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 3)])
 def test_fixer_sum_matches_the_cycle_index(n, k):
-    from distchrom.permgroup import induced_action_on_ksets
-
     elements = induced_action_on_ksets(n, k).elements()
     histogram = _cycle_index_histogram(n, k)
     for t in (2, 3):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +165,70 @@ def test_closure_indexing_matches_iteration(gens):
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             els[bad]
+
+
+def _cycle_type(p):
+    seen, lengths = set(), []
+    for v in range(len(p)):
+        length = 0
+        while v not in seen:
+            seen.add(v)
+            v = p[v]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def regular_s4():
+    # S4 acting on its own elements by right multiplication: every point
+    # stabilizer is trivial, so each point is a suborbit of its own.
+    els = [tuple(e) for e in closure(s_n_gens(4))]
+    where = {e: i for i, e in enumerate(els)}
+    return [tuple(where[compose(e, g)] for e in els) for g in s_n_gens(4)]
+
+
+SUBORBIT_GROUPS = {
+    "S5": (s_n_gens(5), 24 * 2),
+    "PGL(3,2)": (pgl3_action(2).generators, 24 * 2),
+    "S7-on-3-sets": (induced_action_on_ksets(7, 3).generators, 144 * 4),
+    "D300": (dihedral_300(), 2 * 151),
+    "regular-S4": (regular_s4(), 24),
+    "trivial": ([identity(4)], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBORBIT_GROUPS))
+def test_suborbit_weighted_keeps_the_cycle_types(name):
+    # Conjugation keeps an element's cycle type, so weighting one coset per
+    # suborbit of the base point's stabilizer must count every cycle type as
+    # often as the whole group does.  The elements come in the order of a
+    # pass over the group (heads outermost), the identity first; the count
+    # is |H| times the number of suborbits.
+    gens, evaluated = SUBORBIT_GROUPS[name]
+    els = closure(gens)
+    pairs = list(els.suborbit_weighted())
+    assert len(pairs) == evaluated
+    assert sum(w for _, w in pairs) == len(els)
+    assert pairs[0] == (els[0], 1)
+    weighted = Counter()
+    for p, w in pairs:
+        weighted[_cycle_type(p)] += w
+    assert weighted == Counter(map(_cycle_type, els))
+    rest = iter(els)
+    assert all(any(p == q for q in rest) for p, _ in pairs)
+
+
+@pytest.mark.parametrize(
+    "spec,evaluated",
+    [(lambda: pgl3_action(5), 24_000), (lambda: induced_action_on_ksets(9, 4), 14_400)],
+    ids=["PGL(3,5)", "S9-on-4-sets"],
+)
+def test_suborbit_weighted_counts(spec, evaluated):
+    els = closure(spec().generators)
+    weights = [w for _, w in els.suborbit_weighted()]
+    assert len(weights) == evaluated
+    assert sum(weights) == len(els)
 
 
 def test_closure_size_divides_supergroup():
