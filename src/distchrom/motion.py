@@ -261,16 +261,19 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     terms: dict[int, list[tuple[int, int]]] = {}
     # sigma is an element's restriction to the class.  Conjugation by an
     # element of the group keeps sigma's cycle type, and so theta, the fixed
-    # count and whether the element is the identity, so the sum runs over
-    # one coset per suborbit of the base point's stabilizer, each element
-    # weighted by its suborbit's size (see ``_Elements.suborbit_weighted``).
+    # count and whether the element is the identity.  At each chain level,
+    # conjugation by the base point b's stabilizer H permutes the elements
+    # by their pair (b^g, b^(g^-1)), so the sum runs over one block per
+    # H-orbit on those pairs, weighted by the orbit's size, and the block of
+    # (b, b), H itself, is summed the same way one level down (see
+    # ``_Elements.pair_orbit_weighted``).
     # Theta, the number of orbits of <sigma> on the class, follows from
     # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
     # where o, the order of sigma, is found by stepping through its powers.
     # An order up to |class| shows within |class| steps; an element of larger
     # order (lcm of cycle lengths, each at most |class|) takes theta from one
     # walk over its cycles instead of stepping through all o powers.
-    for p, w in group.suborbit_weighted():
+    for p, w in group.pair_orbit_weighted():
         table = extend(p)
         sigma = compose(cls, table)
         fixed = fixed_count(sigma)

@@ -39,9 +39,9 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-# Largest group whose elements ``closure`` will enumerate.  Elements are built
-# as they are read, never stored, so the cap bounds enumeration time, not
-# memory.
+# Most elements one pass builds: a full pass over ``closure``'s sequence, or
+# the blocks of its weighted sum.  Elements are built as they are read, never
+# stored, so the cap bounds enumeration time, not memory.
 MAX_ELEMENTS = 10_000_000
 
 
@@ -94,7 +94,9 @@ class _Chain:
         self.degree = degree
         self.base: list[int] = []
         self.gens: list[tuple] = []  # (perm, insertion level), serial = index
+        self.gen_inv: list = []  # inverse of each generator, by serial
         self.trans: list[dict[int, object]] = []
+        self.inv: list[dict[int, object]] = []  # t_x^-1 for each t_x in trans
         self.done: list[set[tuple[int, int]]] = []
         self._bytes = degree <= 256
         if self._bytes:
@@ -126,6 +128,7 @@ class _Chain:
     def _new_level(self, pt: int) -> None:
         self.base.append(pt)
         self.trans.append({pt: self._id})
+        self.inv.append({pt: self._id})
         self.done.append(set())
 
     def _level_gens(self, lvl: int):
@@ -134,16 +137,19 @@ class _Chain:
         return [(serial, g) for serial, (g, at) in enumerate(self.gens) if at >= lvl]
 
     def _extend_orbit(self, lvl: int) -> None:
-        trans = self.trans[lvl]
+        # Each new t_y = t_x * g gets its inverse g^-1 * t_x^-1 alongside, so
+        # sifting never inverts a transversal element.
+        trans, inv = self.trans[lvl], self.inv[lvl]
         queue = deque(trans)
-        gens = [g for _, g in self._level_gens(lvl)]
+        gens = [(g, self.gen_inv[serial]) for serial, g in self._level_gens(lvl)]
         while queue:
             x = queue.popleft()
             tx = trans[x]
-            for g in gens:
+            for g, g_inv in gens:
                 y = g[x]
                 if y not in trans:
                     trans[y] = self._mul(tx, g)
+                    inv[y] = self._mul(g_inv, inv[x])
                     queue.append(y)
 
     def _strip(self, g, start: int):
@@ -151,10 +157,10 @@ class _Chain:
             x = g[self.base[lvl]]
             if x == self.base[lvl]:
                 continue
-            t = self.trans[lvl]
-            if x not in t:
+            inv = self.inv[lvl]
+            if x not in inv:
                 return g, lvl
-            g = self._mul(g, self._inv(t[x]))
+            g = self._mul(g, inv[x])
         return g, len(self.base)
 
     def _add_gen(self, g, lvl: int) -> None:
@@ -162,6 +168,7 @@ class _Chain:
             moved = min(i for i in range(self.degree) if g[i] != i)
             self._new_level(moved)
         self.gens.append((g, lvl))
+        self.gen_inv.append(self._inv(g))
         for i in range(min(lvl, len(self.base) - 1), -1, -1):
             self._extend_orbit(i)
 
@@ -172,15 +179,19 @@ class _Chain:
         while True:
             inserted = False
             for lvl in range(len(self.base)):
-                trans = self.trans[lvl]
-                done = self.done[lvl]
+                trans, inv, done = self.trans[lvl], self.inv[lvl], self.done[lvl]
+                gens, known = self._level_gens(lvl), len(self.gens)
                 for x in list(trans):
+                    # Generators inserted while this level is walked join from
+                    # the next point on, as when the list was rebuilt per point.
+                    if len(self.gens) != known:
+                        gens, known = self._level_gens(lvl), len(self.gens)
                     tx = trans[x]
-                    for serial, s in self._level_gens(lvl):
+                    for serial, s in gens:
                         if (x, serial) in done:
                             continue
                         done.add((x, serial))
-                        schreier = self._mul(self._mul(tx, s), self._inv(trans[s[x]]))
+                        schreier = self._mul(self._mul(tx, s), inv[s[x]])
                         if self._is_id(schreier):
                             continue
                         residue, res_lvl = self._strip(schreier, lvl + 1)
@@ -191,7 +202,9 @@ class _Chain:
                 return
 
     def insert(self, g: Perm) -> None:
-        packed = self._pack(g)
+        self._insert(self._pack(g))
+
+    def _insert(self, packed) -> None:
         residue, lvl = self._strip(packed, 0)
         if not self._is_id(residue):
             self._add_gen(residue, lvl)
@@ -204,6 +217,40 @@ class _Chain:
         return n
 
 
+def _products(levels, prefix, mul, degree):
+    """Every prefix * u_{k-1} * ... * u_0 with u_j from levels[j], cut to the degree.
+
+    Level k-1 is outermost, so each partial product is formed once.  Bytes
+    tables are 256 long; the cut makes the products plain elements.
+    """
+
+    def walk(lvl, p):
+        if lvl < 0:
+            yield p[:degree]
+            return
+        for u in levels[lvl]:
+            yield from walk(lvl - 1, mul(p, u))
+
+    return walk(len(levels) - 1, prefix)
+
+
+def _orbits(points, gens):
+    """(first point, size) of each orbit of <gens> on ``points``, in their order."""
+    seen: set[int] = set()
+    for x in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for g in gens:
+                z = g[y]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        yield x, len(orbit)
+
+
 class _Elements(Sequence):
     """Every element of a group, built off its stabilizer chain as it is read.
 
@@ -213,22 +260,35 @@ class _Elements(Sequence):
     to level 0 (innermost); each partial product u_{m-1} * ... * u_1 is formed
     once, so level 0, usually the longest orbit, costs one multiplication per
     element.  Every transversal starts with the identity, so the identity
-    comes first.  Only the transversals and level 0's base point are kept:
-    each pass builds the elements anew, and indexing multiplies m transversal
+    comes first.  The chain's base, transversals (with their inverses) and
+    strong generators with their levels are kept, not its bookkeeping: each
+    pass builds the elements anew, and indexing multiplies m transversal
     elements.
 
-    The heads u_{m-1} * ... * u_1 are the stabilizer H of the base point b0,
-    and element head * t_x is the one of its coset that sends b0 to x, so
-    ``suborbit_weighted`` can pick one coset per orbit of H on level 0's
-    points.
+    ``pair_orbit_weighted`` serves sums of a class function.  Let b be level
+    j's base point, G_j the group of levels j and up, and H = G_{j+1} its
+    stabilizer of b.  Conjugation by c in H maps the elements g of G_j with
+    (b^g, b^(g^-1)) = (x, p) onto those with (x^c, p^c), so a class function
+    sums to the same value over the elements of any two pairs in one H-orbit.
+    The pair (b, b) is an orbit of its own; its elements are H, summed the
+    same way at level j+1.  Any other orbit has its first points in one
+    H-orbit x^H, x != b, and its second points in x'^H, x' = b^(t_x^-1), of
+    the same size.  Its pairs with second point x' are the (y, x') for y in
+    one orbit of H_{x'} on x^H, and the elements of (y, x') are t_x * H_x * r_y, where r_y in H sends x to y;
+    conjugation by t_x turns them into H_x * r_y * t_x.  So the sum needs
+    H_x * r_y * t_x for one y per H_{x'}-orbit on x^H, weighted by |x^H|
+    times that orbit's size.
     """
 
-    __slots__ = ("_levels", "_base", "_degree", "_id", "_len", "_mul")
+    __slots__ = ("_levels", "_base", "_trans", "_inv", "_gens", "_degree", "_id", "_len", "_mul")
 
     def __init__(self, stab: _Chain):
         # A chain without levels belongs to the trivial group.
         self._levels = [list(trans.values()) for trans in stab.trans] or [[stab._id]]
-        self._base = stab.base[0] if stab.base else 0
+        self._base = stab.base
+        self._trans = stab.trans
+        self._inv = stab.inv
+        self._gens = stab.gens
         self._degree = stab.degree
         self._id = stab._id
         self._len = math.prod(map(len, self._levels))
@@ -237,52 +297,57 @@ class _Elements(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def _heads(self, lvl: int, prefix):
-        # The products u_{m-1} * ... * u_1 in iteration order, cut to the
-        # degree (bytes tables are 256 long).
-        if lvl == 0:
-            yield prefix[: self._degree]
-            return
-        for u in self._levels[lvl]:
-            yield from self._heads(lvl - 1, self._mul(prefix, u))
-
     def __iter__(self):
+        if self._len > MAX_ELEMENTS:
+            raise TooLarge(f"group order {self._len} exceeds {MAX_ELEMENTS}")
         mul, level0 = self._mul, self._levels[0]
-        heads = self._heads(len(self._levels) - 1, self._id)
+        heads = _products(self._levels[1:], self._id, mul, self._degree)
         return chain.from_iterable(map(mul, repeat(head), level0) for head in heads)
 
-    def suborbit_weighted(self):
+    def pair_orbit_weighted(self):
         """Pairs (element, weight) whose weights sum to ``len(self)``.
 
-        Let H be the stabilizer of the base point b0 and C_x the coset of
-        elements that send b0 to x.  Conjugation by k in H maps C_x onto
-        C_{x^k}, so any quantity that conjugation by H keeps takes the same
-        values, as a multiset, on every coset of one H-orbit.  Yields every
-        element of C_x for one point x of each orbit, x the first of it in
-        level 0's order, weighted by the orbit's size: heads outermost,
-        representatives innermost, one multiplication per element.  The
-        orbits come from a search over level 0's points with every
-        transversal element of the levels above as a generator of H.
+        Any function that conjugation keeps has the same weighted sum over
+        these pairs as over the group (see the class docstring).  Level by
+        level, each H-orbit x^H other than {b} gives one block: H's chain is
+        rebuilt with x as its first base point, giving H_x and the r_y, and
+        every element of H_x * r_y * t_x is yielded for one y per orbit of
+        H_{x'} = t_x * H_x * t_x^-1.  A fixed point x of H needs no rebuild:
+        the block is H * t_x with weight 1.  The identity comes last, with
+        weight 1.  Raises TooLarge, before a block is built, once the count
+        of elements yielded would pass MAX_ELEMENTS.
         """
-        mul, level0, b0 = self._mul, self._levels[0], self._base
-        gens = [u for level in self._levels[1:] for u in level]
-        seen: set[int] = set()
-        reps = []
-        for t in level0:
-            x = t[b0]
-            if x in seen:
-                continue
-            seen.add(x)
-            orbit = [x]
-            for y in orbit:
-                for g in gens:
-                    z = g[y]
-                    if z not in seen:
-                        seen.add(z)
-                        orbit.append(z)
-            reps.append((t, len(orbit)))
-        heads = self._heads(len(self._levels) - 1, self._id)
-        return ((mul(head, t), weight) for head in heads for t, weight in reps)
+        mul, degree, ident = self._mul, self._degree, self._id
+        evaluated = 0
+        for lvl, b in enumerate(self._base):
+            stab_gens = [g for g, at in self._gens if at > lvl]
+            trans, inv = self._trans[lvl], self._inv[lvl]
+            for x, size in _orbits(trans, stab_gens):
+                if x == b:
+                    continue
+                t = trans[x]
+                if size == 1:
+                    levels, reps = self._levels[lvl + 1 :], [(t, 1)]
+                else:
+                    sub = _Chain(self._degree)
+                    sub._new_level(x)
+                    for g in stab_gens:
+                        sub._insert(g)
+                    conj = [mul(mul(t, k), inv[x]) for k, at in sub.gens if at > 0]
+                    r = sub.trans[0]
+                    levels = [list(u.values()) for u in sub.trans[1:]]
+                    reps = [(mul(r[y], t), size * n) for y, n in _orbits(r, conj)]
+                if levels:
+                    # H_x's innermost level joins the representatives, so
+                    # each element costs one multiplication.
+                    reps = [(mul(u, rt), w) for u in levels[0] for rt, w in reps]
+                    levels = levels[1:]
+                evaluated += math.prod(map(len, levels)) * len(reps)
+                if evaluated > MAX_ELEMENTS:
+                    raise TooLarge(f"the weighted sum needs more than {MAX_ELEMENTS} elements")
+                heads = _products(levels, ident, mul, degree)
+                yield from ((mul(h, rt), w) for h in heads for rt, w in reps)
+        yield ident[:degree], 1
 
     def __getitem__(self, i):
         i = index(i)
@@ -324,18 +389,15 @@ def closure(generators: list[Perm]) -> Sequence:
     The sequence stores no element: each pass builds them while it runs,
     and ``els[i]`` builds one.  The identity comes first; the order is
     otherwise the chain's product order (see ``_Elements``), deterministic
-    for a fixed generator list.  Raises TooLarge, before any element is
-    built, when the group order exceeds MAX_ELEMENTS.
+    for a fixed generator list.  A pass over a group above MAX_ELEMENTS
+    raises TooLarge before it builds any element; ``pair_orbit_weighted``
+    caps the elements it builds instead, so it can sum larger groups.
 
     For degree <= 256 the elements are ``bytes`` image sequences (indexable
     exactly like tuples, an order of magnitude smaller in memory, and
     composable at C speed); larger degrees fall back to tuples.
     """
-    stab = _chain_of(generators)
-    order = stab.order()
-    if order > MAX_ELEMENTS:
-        raise TooLarge(f"group order {order} exceeds {MAX_ELEMENTS}")
-    return _Elements(stab)
+    return _Elements(_chain_of(generators))
 
 
 @dataclass

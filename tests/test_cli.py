@@ -1,6 +1,7 @@
 """Command-line surface: formats, verdicts, exit codes, determinism."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,27 @@ def test_motion_exact_small(capsys):
     assert payload["least_prime"] == 2
     assert payload["lemma_satisfied"] is False  # the order-2 plane has no certificate
     assert payload["exact_EN"]["num"] * 1.0 / payload["exact_EN"]["den"] > 2
+
+
+# sha256 of the canonical JSON (sorted keys, no ``timestamp``) of each
+# ``motion exact`` report, recorded while the sum still ran over one coset per
+# suborbit of the first base point's stabilizer.
+MOTION_EXACT_DIGESTS = {
+    ("levi", "--q", "5"): "cff373e0ba0b2ce49b154547a87c3f71e3bbcbc02400711abff4315d23cbad4e",
+    ("levi", "--q", "7"): "78ee5cc3b6e6ea517f322af6316a9458583b86d5bd93cf9e3b4eb97af7ef87b1",
+    ("lg1", "--n", "9", "--k", "4"): "6f95cc88a059ddaf400611f364d6f60c4fbe6763105b0042fe2c94e3cda9402a",
+    ("lg1", "--n", "10", "--k", "4"): "1d13f1f3c3817551943759eaf91de153a95c1dda5fc84cacaa4be4e912a6cdd9",
+}
+
+
+@pytest.mark.parametrize("family", list(MOTION_EXACT_DIGESTS), ids=" ".join)
+def test_motion_exact_report_digests(capsys, family):
+    code, out, _ = run(capsys, "motion", "exact", "--family", *family)
+    assert code == 0
+    payload = json.loads(out)
+    del payload["timestamp"]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == MOTION_EXACT_DIGESTS[family]
 
 
 def test_gs_montecarlo_deterministic(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from distchrom.algebra import least_prime_divisor, partition_count
 from distchrom.coloring import Coloring, is_distinguishing, is_proper
-from distchrom.families import INFINITY, slope_graph, slope_of
+from distchrom.families import INFINITY, pgl3_action, slope_graph, slope_of
 from distchrom.graphcore import Graph, automorphism_group
 from distchrom.motion import (
     HalfPowerBound,
@@ -216,6 +216,14 @@ SUBORBIT_CASES = {
     "S5xS4-relabelled": lambda: (*_s5_s4_relabelled(), 3),
     "regular-S4": lambda: (range(24), _regular_s4(), 2),
     "trivial": lambda: (range(5), [tuple(range(5))], 2),
+    "S5": lambda: (range(5), [perm_from_cycles(5, [(0, 1)]), perm_from_cycles(5, [tuple(range(5))])], 2),
+    "PGL(3,2)": lambda: (range(7), pgl3_action(2).generators, 2),
+    # S5 with 300 fixed points: tuples above degree 256, the class every point
+    "S5-plus-300-fixed": lambda: (
+        range(305),
+        [perm_from_cycles(305, [(0, 1)]), perm_from_cycles(305, [tuple(range(5))])],
+        2,
+    ),
     # tuples above degree 256; the class is every point
     "D300": lambda: (
         range(300),
@@ -247,6 +255,25 @@ def test_levi_q7_exact_certificate():
     }
     assert rep.lemma_satisfied
     assert rep.exact_EN < levi_bound(7, 2).as_fraction()
+
+
+def test_levi_q8_exact_certificate():
+    # PGammaL(3,8), of 49,448,448 elements, above the cap on a full pass: the
+    # weighted sum reads far fewer.  The values are the ones the sum over one
+    # coset per suborbit gives, 1,354,752 elements.
+    from distchrom.families import pgammal3_action
+
+    rep = exact_expected_fixers(range(73), pgammal3_action(8).elements(), 2)
+    assert rep.group_order == 49_448_448
+    assert rep.exact_EN == Fraction(576461376604994013, 2**59)
+    assert rep.F_max == 10
+    assert rep.theta_histogram == {
+        1: 5419008, 3: 4709376, 5: 9418752, 7: 1569792, 9: 20014848, 11: 1766016, 13: 1681920,
+        17: 4120704, 19: 28032, 21: 257544, 25: 261632, 29: 196224, 41: 4599, 73: 1,
+    }
+    assert rep.theta_bound_ok
+    assert rep.lemma_satisfied
+    assert not levi_bound(8, 2).lt_value(rep.exact_EN)  # the bound is irrational at q = 8
 
 
 def _reference_fixer_chunk(args):
@@ -717,8 +744,6 @@ def test_favorable_fraction_counts_a_timeout_and_keeps_trial_order(monkeypatch):
 def test_pgl_fixed_points_at_most_q_plus_2(q):
     # nontrivial projective-linear elements fix at most q+2 points (the
     # semilinear extension can fix more: a subplane)
-    from distchrom.families import pgl3_action
-
     n1 = q * q + q + 1
     els = pgl3_action(q).elements()
     worst = 0
@@ -752,8 +777,6 @@ def _excess_bounded_by_f_form(rep):
 
 
 def test_excess_bounded_by_max_fixed_form():
-    from distchrom.families import pgl3_action
-
     els = pgl3_action(2).elements()
     rep = exact_expected_fixers(range(7), els, 2)
     assert rep.F_max == 3

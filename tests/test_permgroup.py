@@ -7,10 +7,11 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from distchrom import permgroup
 from distchrom.algebra import InvalidParameters
-from distchrom.families import pgl3_action
+from distchrom.families import pgammal3_action, pgl3_action
 from distchrom.permgroup import (
     GroupSpec,
     TooLarge,
@@ -51,16 +52,40 @@ def test_closure_contains_identity_and_is_closed():
 
 
 def test_closure_cap():
-    # |S11| = 39916800 exceeds the enumeration limit; the chain knows the
-    # order up front, so the refusal comes before any element is built.
+    # |S11| = 39916800 exceeds the enumeration limit.  ``closure`` builds the
+    # chain, which knows the order, so a pass over the whole group is refused
+    # before it builds any element; the weighted sum, which reads far fewer,
+    # still runs, and single elements can still be indexed.
     tracemalloc.start()
     try:
+        els = closure(s_n_gens(11))
         with pytest.raises(TooLarge):
-            closure(s_n_gens(11))
+            iter(els)
+        with pytest.raises(TooLarge):
+            list(els)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert len(els) == 39916800
+    assert sorted(els[-1]) == list(range(11))
+    assert sum(w for _, w in els.pair_orbit_weighted()) == len(els)
+
+
+def test_weighted_sum_cap(monkeypatch):
+    # The weighted sum checks its running count before it builds a block, so
+    # it never yields more elements than the cap allows.
+    els = closure(pgl3_action(3).generators)
+    total = sum(1 for _ in els.pair_orbit_weighted())
+    for cap in (0, total // 2, total - 2):
+        monkeypatch.setattr(permgroup, "MAX_ELEMENTS", cap)
+        yielded = []
+        with pytest.raises(TooLarge):
+            for pair in els.pair_orbit_weighted():
+                yielded.append(pair)
+        assert len(yielded) <= cap
+    monkeypatch.setattr(permgroup, "MAX_ELEMENTS", total)
+    assert sum(w for _, w in els.pair_orbit_weighted()) == len(els)
 
 
 def test_closure_result_is_not_kept_alive():
@@ -188,45 +213,68 @@ def regular_s4():
     return [tuple(where[compose(e, g)] for e in els) for g in s_n_gens(4)]
 
 
+def s5_with_fixed_points():
+    # S5 with 300 fixed points appended: degree 305 takes the tuple path.
+    return [g + tuple(range(5, 305)) for g in s_n_gens(5)]
+
+
 SUBORBIT_GROUPS = {
-    "S5": (s_n_gens(5), 24 * 2),
-    "PGL(3,2)": (pgl3_action(2).generators, 24 * 2),
-    "S7-on-3-sets": (induced_action_on_ksets(7, 3).generators, 144 * 4),
-    "D300": (dihedral_300(), 2 * 151),
+    "S5": (s_n_gens(5), 20),
+    "PGL(3,2)": (pgl3_action(2).generators, 24),
+    "S7-on-3-sets": (induced_action_on_ksets(7, 3).generators, 204),
+    "D300": (dihedral_300(), 302),
     "regular-S4": (regular_s4(), 24),
     "trivial": ([identity(4)], 1),
+    "S5-plus-300-fixed": (s5_with_fixed_points(), 20),
 }
 
 
-@pytest.mark.parametrize("name", list(SUBORBIT_GROUPS))
-def test_suborbit_weighted_keeps_the_cycle_types(name):
-    # Conjugation keeps an element's cycle type, so weighting one coset per
-    # suborbit of the base point's stabilizer must count every cycle type as
-    # often as the whole group does.  The elements come in the order of a
-    # pass over the group (heads outermost), the identity first; the count
-    # is |H| times the number of suborbits.
-    gens, evaluated = SUBORBIT_GROUPS[name]
+def _check_weighted_sum(gens):
+    # Conjugation keeps an element's cycle type, so the weighted pairs must
+    # count every cycle type as often as a full pass does.  Every pair holds
+    # an element of the group, the weights sum to the order, and the
+    # identity comes once, with weight 1.
     els = closure(gens)
-    pairs = list(els.suborbit_weighted())
-    assert len(pairs) == evaluated
+    pairs = list(els.pair_orbit_weighted())
     assert sum(w for _, w in pairs) == len(els)
-    assert pairs[0] == (els[0], 1)
+    members = set(els)
+    assert all(p in members for p, _ in pairs)
+    ident = identity(len(gens[0]))
+    assert [w for p, w in pairs if tuple(p) == ident] == [1]
     weighted = Counter()
     for p, w in pairs:
         weighted[_cycle_type(p)] += w
     assert weighted == Counter(map(_cycle_type, els))
-    rest = iter(els)
-    assert all(any(p == q for q in rest) for p, _ in pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(SUBORBIT_GROUPS))
+def test_suborbit_weighted_keeps_the_cycle_types(name):
+    # The count is, level by level, |H_x| times the number of
+    # H_{x'}-orbits on x^H for each orbit x^H of the base point's stabilizer
+    # H, plus the identity.
+    gens, evaluated = SUBORBIT_GROUPS[name]
+    assert len(_check_weighted_sum(gens)) == evaluated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_weighted_sum_on_random_groups(gens):
+    _check_weighted_sum([tuple(g) for g in gens])
 
 
 @pytest.mark.parametrize(
     "spec,evaluated",
-    [(lambda: pgl3_action(5), 24_000), (lambda: induced_action_on_ksets(9, 4), 14_400)],
-    ids=["PGL(3,5)", "S9-on-4-sets"],
+    [
+        (lambda: pgl3_action(5), 1_728),
+        (lambda: pgammal3_action(4), 1_174),
+        (lambda: induced_action_on_ksets(9, 4), 2_844),
+    ],
+    ids=["PGL(3,5)", "PGammaL(3,4)", "S9-on-4-sets"],
 )
 def test_suborbit_weighted_counts(spec, evaluated):
     els = closure(spec().generators)
-    weights = [w for _, w in els.suborbit_weighted()]
+    weights = [w for _, w in els.pair_orbit_weighted()]
     assert len(weights) == evaluated
     assert sum(weights) == len(els)
 
