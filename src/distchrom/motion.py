@@ -208,15 +208,16 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
 
     ``c1`` is the vertex set of the class to be split and ``elements`` the
     elements of a group that stabilizes ``c1`` setwise.  The sequence
-    ``closure`` returns is summed as it stands, once every transversal
-    element of its chain, and so every element of the group, is checked to
-    stabilize ``c1``.  Any other sequence is read once into a list; each of
-    its elements must have the first one's degree and stabilize ``c1``, and
-    the list must hold as many distinct elements as the group they generate
-    has, so that it is that group; the sum then runs over the group's
-    ``closure``.  The sum includes the identity's contribution of exactly 1,
-    and the per-element cycle bound 2*theta <= fixed + |c1| is recorded as
-    it is computed.  ``theta_histogram`` is sorted by theta.  The sum runs
+    ``closure`` returns is summed as it stands, once the strong generators
+    of its chain are checked to stabilize ``c1``: they generate the group,
+    so it stabilizes ``c1`` exactly when they do.  Any other sequence is
+    read once into a list; each of its elements must have the first one's
+    degree and stabilize ``c1``, and the list must hold as many distinct
+    elements as the group they generate has, so that it is that group; the
+    sum then runs over the group's ``closure``.  The sum includes the
+    identity's contribution of exactly 1, and the per-element cycle bound
+    2*theta <= fixed + |c1| is recorded as it is computed.
+    ``theta_histogram`` is sorted by theta.  The sum runs
     in one process: ``threads`` accepts only 1, and is kept because the
     benchmark harness (``bench/workloads.py``) still passes ``threads=1``.
     """
@@ -239,9 +240,8 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     inside = frozenset(pts)
     if isinstance(elements, _Elements):
         group = elements
-        for level in group._levels:
-            for u in level:
-                _check_stabilizes(u, pts, inside)
+        for g, _ in group._gens:
+            _check_stabilizes(g, pts, inside)
     else:
         for p in elements:
             if len(p) != degree:

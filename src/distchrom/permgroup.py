@@ -11,9 +11,11 @@ read.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, product, repeat
 from operator import index
 
@@ -86,6 +88,9 @@ class _Chain:
     Base points are chosen deterministically as the smallest point moved by
     the residue being inserted, so the chain is reproducible for a fixed
     generator list.  Transversal element t_x maps the level's base point to x.
+    Level 0 forms its Schreier generators from the inserted generators that
+    enlarged the group, deeper levels from their strong generators: by
+    Schreier's lemma those of any generating set of G generate G_{base[0]}.
     Internally permutations are 256-padded bytes when the degree allows it,
     making composition a single ``translate`` call.
     """
@@ -95,6 +100,7 @@ class _Chain:
         self.base: list[int] = []
         self.gens: list[tuple] = []  # (perm, insertion level), serial = index
         self.gen_inv: list = []  # inverse of each generator, by serial
+        self.inputs: list = []  # inserted generators that enlarged the group
         self.trans: list[dict[int, object]] = []
         self.inv: list[dict[int, object]] = []  # t_x^-1 for each t_x in trans
         self.done: list[set[tuple[int, int]]] = []
@@ -172,6 +178,9 @@ class _Chain:
         for i in range(min(lvl, len(self.base) - 1), -1, -1):
             self._extend_orbit(i)
 
+    def _schreier_gens(self, lvl: int):
+        return list(enumerate(self.inputs)) if lvl == 0 else self._level_gens(lvl)
+
     def _process(self) -> None:
         # Sift every unprocessed Schreier generator everywhere.  A pair once
         # sifted to identity stays valid when the chain grows, so pairs are
@@ -180,12 +189,12 @@ class _Chain:
             inserted = False
             for lvl in range(len(self.base)):
                 trans, inv, done = self.trans[lvl], self.inv[lvl], self.done[lvl]
-                gens, known = self._level_gens(lvl), len(self.gens)
+                gens, known = self._schreier_gens(lvl), len(self.gens)
                 for x in list(trans):
                     # Generators inserted while this level is walked join from
                     # the next point on, as when the list was rebuilt per point.
                     if len(self.gens) != known:
-                        gens, known = self._level_gens(lvl), len(self.gens)
+                        gens, known = self._schreier_gens(lvl), len(self.gens)
                     tx = trans[x]
                     for serial, s in gens:
                         if (x, serial) in done:
@@ -202,11 +211,10 @@ class _Chain:
                 return
 
     def insert(self, g: Perm) -> None:
-        self._insert(self._pack(g))
-
-    def _insert(self, packed) -> None:
+        packed = self._pack(g)
         residue, lvl = self._strip(packed, 0)
         if not self._is_id(residue):
+            self.inputs.append(packed)
             self._add_gen(residue, lvl)
             self._process()
 
@@ -277,7 +285,8 @@ class _Elements(Sequence):
     one orbit of H_{x'} on x^H, and the elements of (y, x') are t_x * H_x * r_y, where r_y in H sends x to y;
     conjugation by t_x turns them into H_x * r_y * t_x.  So the sum needs
     H_x * r_y * t_x for one y per H_{x'}-orbit on x^H, weighted by |x^H|
-    times that orbit's size.
+    times that orbit's size, with H_x and the r_y read off a chain of H
+    with x first, built to the known order |H| (``_rebased``).
     """
 
     __slots__ = ("_levels", "_base", "_trans", "_inv", "_gens", "_degree", "_id", "_len", "_mul")
@@ -309,10 +318,11 @@ class _Elements(Sequence):
 
         Any function that conjugation keeps has the same weighted sum over
         these pairs as over the group (see the class docstring).  Level by
-        level, each H-orbit x^H other than {b} gives one block: H's chain is
-        rebuilt with x as its first base point, giving H_x and the r_y, and
+        level, each H-orbit x^H other than {b} gives one block: a chain of H
+        with x as its first base point, sifted from uniform elements of H
+        until its order is |H| (``_rebased``), gives H_x and the r_y, and
         every element of H_x * r_y * t_x is yielded for one y per orbit of
-        H_{x'} = t_x * H_x * t_x^-1.  A fixed point x of H needs no rebuild:
+        H_{x'} = t_x * H_x * t_x^-1.  A fixed point x of H needs no chain:
         the block is H * t_x with weight 1.  The identity comes last, with
         weight 1.  Raises TooLarge, before a block is built, once the count
         of elements yielded would pass MAX_ELEMENTS.
@@ -329,10 +339,7 @@ class _Elements(Sequence):
                 if size == 1:
                     levels, reps = self._levels[lvl + 1 :], [(t, 1)]
                 else:
-                    sub = _Chain(self._degree)
-                    sub._new_level(x)
-                    for g in stab_gens:
-                        sub._insert(g)
+                    sub = self._rebased(lvl, x)
                     conj = [mul(mul(t, k), inv[x]) for k, at in sub.gens if at > 0]
                     r = sub.trans[0]
                     levels = [list(u.values()) for u in sub.trans[1:]]
@@ -348,6 +355,29 @@ class _Elements(Sequence):
                 heads = _products(levels, ident, mul, degree)
                 yield from ((mul(h, rt), w) for h in heads for rt, w in reps)
         yield ident[:degree], 1
+
+    def _rebased(self, lvl: int, x: int) -> _Chain:
+        """A complete chain of H = G_{lvl+1} with x as its first base point.
+
+        Uniform elements of H, one transversal entry per level past lvl, are
+        sifted into a chain with base [x], each non-identity residue joining
+        its strong generators, until its order is |H|.  The product of its
+        orbit lengths is at most the order of the group they generate, so it
+        reaches |H| only when the chain is complete for H; until then a draw
+        leaves a residue, which raises the product, with probability at
+        least 1/2 (Seress, Lemma 4.3.1).  Draws are seeded with (lvl, x) so
+        that the chain, and the weighted pairs, are reproducible.
+        """
+        sub = _Chain(self._degree)
+        sub._new_level(x)
+        levels = self._levels[lvl + 1 :][::-1]
+        order = math.prod(map(len, levels))
+        choice = random.Random(f"{lvl},{x}").choice
+        while sub.order() != order:
+            residue, at = sub._strip(reduce(self._mul, map(choice, levels), self._id), 0)
+            if not sub._is_id(residue):
+                sub._add_gen(residue, at)
+        return sub
 
     def __getitem__(self, i):
         i = index(i)

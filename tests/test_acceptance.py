@@ -20,6 +20,8 @@ and fail honestly:
   within-pair swap always survives.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -82,6 +84,30 @@ def krs_checks():
 @pytest.fixture(scope="module")
 def appendix_checks():
     return _index(recipe_appendix(seed=SEED))
+
+
+# sha256 of each recipe's canonical JSON: the fixture's checks by id, sorted
+# keys, without ``timestamp`` or the fixture's own ``_elapsed``.  Recorded
+# before level 0's Schreier generators came from the inserted generators and
+# the weighted sum's re-based chains from the known order, neither of which
+# may change a report.
+RECIPE_DIGESTS = {
+    "levi": "7112a0796e5391301057e59424ea277be7643bed7eedf5a90c75616dd070eb57",
+    "lg1": "3d6aaf71483ce02508497372f6a1054baa6fa0c5f608e16d6b8e405421fd666b",
+    "weak": "0b1d14430627b4b2a7e38a98a153e87da2172b543cac1914dd5165f043da2d83",
+    "gs": "efce4ab2b4b7765ce76154d4dd7e3c87b1c06d2167aab26de78c1b5a5198aaeb",
+    "kneser": "b0b410ca8772d865d7e15e82ad5d5cd93670ed7a46e20d9fd095e7829667a03f",
+    "krs": "24b1db5d2af66d7074f48f787d895fa13ac1c8cbc5e4c1baf137e3d2448be7f8",
+    "appendix": "67d3d35dfea070820d3372b20ef4b0a2c1f3ec2645990e6468ab74fdecd29a16",
+}
+
+
+@pytest.mark.parametrize("recipe", list(RECIPE_DIGESTS))
+def test_recipe_report_digest(request, recipe):
+    checks = request.getfixturevalue(f"{recipe}_checks")
+    payload = {k: v for k, v in checks.items() if k not in ("timestamp", "_elapsed")}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == RECIPE_DIGESTS[recipe]
 
 
 def _verdict(num, name, checks, ids, extra_failures=()):

@@ -188,6 +188,21 @@ def test_exact_expected_fixers_refuses_lists_that_are_not_groups():
             exact_expected_fixers(range(4), group[:i] + group[i + 1 :], 2)
 
 
+@pytest.mark.parametrize("degree", [6, 300], ids=["bytes", "tuple"])
+@pytest.mark.parametrize(
+    "cycles",
+    [[[(0, 1, 2, 3)], [(3, 4)]], [[(3, 4)], [(0, 1, 2, 3)]], [[(0, 1)], [(0, 1, 2, 3, 4, 5)]]],
+    ids=["mover-second", "mover-first", "mover-stripped"],
+)
+def test_closures_that_move_the_class_are_refused(degree, cycles):
+    # Only the chain's strong generators are checked against the class.  In
+    # the last case the input that moves the class strips past level 0, so
+    # it is not a strong generator itself; its residue is.
+    els = closure([perm_from_cycles(degree, c) for c in cycles])
+    with pytest.raises(InvalidParameters, match="element moves 3 out of the class"):
+        exact_expected_fixers(range(4), els, 2)
+
+
 def _regular_s4():
     # S4 on its own elements by right multiplication: the base point's
     # stabilizer is trivial, so every coset is a suborbit of its own

@@ -263,6 +263,49 @@ def test_weighted_sum_on_random_groups(gens):
     _check_weighted_sum([tuple(g) for g in gens])
 
 
+@pytest.mark.parametrize("name", list(SUBORBIT_GROUPS))
+def test_rebased_chains_are_complete(name):
+    # At every level, each H-orbit x^H other than {b} of more than one point
+    # gets H's chain with x first: its strong generators below level 0 fix
+    # x, its order is |H|, and its elements are exactly H's.
+    els = closure(SUBORBIT_GROUPS[name][0])
+    for lvl, b in enumerate(els._base):
+        stab_gens = [g for g, at in els._gens if at > lvl]
+        h = set(permgroup._products(els._levels[lvl + 1 :], els._id, els._mul, els._degree))
+        for x, size in permgroup._orbits(els._trans[lvl], stab_gens):
+            if x == b or size == 1:
+                continue
+            sub = els._rebased(lvl, x)
+            assert sub.base[0] == x
+            assert sub.order() == len(h)
+            assert all(g[x] == x for g, at in sub.gens if at >= 1)
+            assert set(permgroup._Elements(sub)) == h
+
+
+@st.composite
+def generator_lists(draw):
+    # Random generators of degree <= 9 with, in any order, some of: a
+    # duplicate, the identity, and a product of two of them.
+    n = draw(st.integers(1, 9))
+    gens = [tuple(p) for p in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
+    extras = [gens[0], identity(n), compose(gens[0], gens[-1])]
+    picked = draw(st.lists(st.sampled_from(extras), max_size=3, unique=True))
+    return draw(st.permutations(gens + picked))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_group_order_matches_sympy(gens):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    expected = PermutationGroup([Permutation(list(g)) for g in gens]).order()
+    assert group_order(gens) == expected
+    # the same group with fixed points past degree 256 takes the tuple path
+    padded = [g + tuple(range(len(g), 260)) for g in gens]
+    assert not _chain_of(padded)._bytes
+    assert group_order(padded) == expected
+
+
 @pytest.mark.parametrize(
     "spec,evaluated",
     [
