@@ -255,6 +255,10 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
                 f"element list is not a group: it generates one of order {len(group)}, not {len(elements)}"
             )
     cls, extend, compose, fixed_count, identity = _class_arithmetic(pts, degree)
+    # On the bytes path the divisor loop counts fixed points in place, which
+    # costs less than a call to ``fixed_count``.
+    cls_int = int.from_bytes(cls, "little") if degree <= 256 else None
+    from_bytes = int.from_bytes
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
@@ -262,11 +266,12 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     # sigma is an element's restriction to the class.  Conjugation by an
     # element of the group keeps sigma's cycle type, and so theta, the fixed
     # count and whether the element is the identity.  At each chain level,
-    # conjugation by the base point b's stabilizer H permutes the elements
-    # by their pair (b^g, b^(g^-1)), so the sum runs over one block per
-    # H-orbit on those pairs, weighted by the orbit's size, and the block of
-    # (b, b), H itself, is summed the same way one level down (see
-    # ``_Elements.pair_orbit_weighted``).
+    # conjugation by the base point b's stabilizer H permutes the cosets
+    # H * t_y, so the sum runs over one block per H-orbit of points y,
+    # weighted by the orbit's size, and H itself is summed the same way one
+    # level down.  Each block is refined down a chain of H: its cosets that
+    # strong generators of the chain permute by conjugation are summed once,
+    # weighted by their number (see ``_Elements.pair_orbit_weighted``).
     # Theta, the number of orbits of <sigma> on the class, follows from
     # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
     # where o, the order of sigma, is found by stepping through its powers.
@@ -285,8 +290,15 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
                 if order not in terms:
                     terms[order] = _burnside_terms(order)
                 total = size
-                for d, phi in terms[order]:
-                    total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
+                if cls_int is None:
+                    for d, phi in terms[order]:
+                        total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
+                else:
+                    for d, phi in terms[order]:
+                        if d == 1:
+                            total += phi * fixed
+                        else:
+                            total += phi * (from_bytes(powers[d - 1], "little") ^ cls_int).to_bytes(size, "little").count(0)
                 theta = total // order
                 break
             q = compose(q, table)

@@ -259,6 +259,46 @@ def _orbits(points, gens):
         yield x, len(orbit)
 
 
+def _coset_pieces(trans, gens, s, weight, mul):
+    """Weighted pieces over which a class function sums as over the coset C_0 * s.
+
+    ``trans`` and ``gens`` are a stabilizer chain of C_0, the stabilizer of
+    a point b (base c_0, c_1, ...; strong generators with their levels),
+    and every strong generator above level 0 fixes b^s.  Yields pieces
+    (levels, reps), depth by depth: a piece stands for every h * r, at
+    weight w, with h a product over ``levels`` (see ``_products``) and
+    (r, w) in reps.  The refinement is proved in the ``_Elements``
+    docstring.
+    """
+    levels = [list(u.values()) for u in trans]
+    # A node (s, w, fixers) at depth d is the coset C_d * s at weight w;
+    # fixers are the strong generators above level d - 1 that fix P, the
+    # images under s of c_0, ..., c_{d-1}.
+    nodes = [(s, weight, gens)]
+    for d in range(len(levels) + 1):
+        reps, children = [], []
+        for s, w, fixers in nodes:
+            ks = [g for g, at in fixers if at > d]
+            if ks:
+                # The child of z holds the elements that send c_d to z^s;
+                # conjugation by k moves z^s by k.
+                level = trans[d]
+                back = {s[z]: z for z in level}
+                for p, n in _orbits(back, ks):
+                    keep = [(g, at) for g, at in fixers if at > d and g[p] == p]
+                    children.append((mul(level[back[p]], s), w * n, keep))
+            elif d == len(levels):
+                # C_d is trivial, so the node is s alone.
+                reps.append((s, w))
+            else:
+                # Level d joins the representatives, so each element costs
+                # one multiplication.
+                reps.extend(zip(map(mul, levels[d], repeat(s)), repeat(w)))
+        if reps:
+            yield levels[d + 1 :], reps
+        nodes = children
+
+
 class _Elements(Sequence):
     """Every element of a group, built off its stabilizer chain as it is read.
 
@@ -268,35 +308,53 @@ class _Elements(Sequence):
     to level 0 (innermost); each partial product u_{m-1} * ... * u_1 is formed
     once, so level 0, usually the longest orbit, costs one multiplication per
     element.  Every transversal starts with the identity, so the identity
-    comes first.  The chain's base, transversals (with their inverses) and
-    strong generators with their levels are kept, not its bookkeeping: each
-    pass builds the elements anew, and indexing multiplies m transversal
-    elements.
+    comes first.  The chain's base, transversals and strong generators with
+    their levels are kept, not its bookkeeping: each pass builds the
+    elements anew, and indexing multiplies m transversal elements.
 
-    ``pair_orbit_weighted`` serves sums of a class function.  Let b be level
-    j's base point, G_j the group of levels j and up, and H = G_{j+1} its
-    stabilizer of b.  Conjugation by c in H maps the elements g of G_j with
-    (b^g, b^(g^-1)) = (x, p) onto those with (x^c, p^c), so a class function
-    sums to the same value over the elements of any two pairs in one H-orbit.
-    The pair (b, b) is an orbit of its own; its elements are H, summed the
-    same way at level j+1.  Any other orbit has its first points in one
-    H-orbit x^H, x != b, and its second points in x'^H, x' = b^(t_x^-1), of
-    the same size.  Its pairs with second point x' are the (y, x') for y in
-    one orbit of H_{x'} on x^H, and the elements of (y, x') are t_x * H_x * r_y, where r_y in H sends x to y;
-    conjugation by t_x turns them into H_x * r_y * t_x.  So the sum needs
-    H_x * r_y * t_x for one y per H_{x'}-orbit on x^H, weighted by |x^H|
-    times that orbit's size, with H_x and the r_y read off a chain of H
-    with x first, built to the known order |H| (``_rebased``).
+    ``pair_orbit_weighted`` serves sums of a function f that conjugation by
+    group elements keeps.  Let b be level j's base point, G_j the group of
+    levels j and up, and H = G_{j+1} its stabilizer of b.  The elements of
+    G_j that send b to y form the coset H * t_y, and conjugation by c in H
+    maps it onto H * t_{y^c}, so f sums to the same value over the cosets
+    of one H-orbit.  The orbit {b} gives H, summed the same way at level
+    j+1; any other orbit x^H gives the block H * t_x, at weight |x^H|.
+
+    A block is refined down a chain of H with base c_0, c_1, ...: one with
+    x first when |x^H| > 1 (``_rebased``), else H's own levels.  Let C_d
+    be the stabilizer of c_0, ..., c_{d-1} in H, so C_0 = H, and let a node
+    be a coset C_d * s; the root is H * t_x.  C_d is the union of the
+    C_{d+1} * u_z over its transversal entries u_z, which send c_d to z, so
+    the node is the union of its children C_{d+1} * u_z * s.  Let k be a
+    strong generator above level d (so k is in C_{d+1}) that fixes every
+    point of P, the images under s of c_0, ..., c_{d-1}.  Then s * k * s^-1
+    fixes c_0, ..., c_{d-1}, and b too: b^s = x, as s is in H * t_x, and k
+    fixes x, which is c_0 or fixed by H.  So s * k * s^-1 is in C_d, and
+    conjugation by k maps the child of z onto the child of z', where
+    z'^s = (z^s)^k:
+
+        k^-1 * C_{d+1} * u_z * s * k = C_{d+1} * (u_z * s * k * s^-1) * s,
+
+    and u_z * s * k * s^-1 is in C_d and sends c_d to z'.  So f sums to the
+    same value over the children of one orbit of these k on the points
+    z^s, and the sum takes one child per orbit, weighted by the orbit's
+    size, and refines it in turn; a node with no such k is enumerated
+    whole.  A child's P is its parent's plus z^s, as u_z fixes c_0, ...,
+    c_{d-1}.  At the root P is empty; with x first in the chain, the strong
+    generators above level 0 generate H_x, the children are H_x * r_y * t_x
+    for r_y in H sending x to y, and the orbits are those of
+    H_{x'} = t_x * H_x * t_x^-1 on x^H, x' = b^(t_x^-1): the same as
+    grouping the elements g of G_j with b^g in x^H by the pair
+    (b^g, b^(g^-1)), the grouping the method is named for.
     """
 
-    __slots__ = ("_levels", "_base", "_trans", "_inv", "_gens", "_degree", "_id", "_len", "_mul")
+    __slots__ = ("_levels", "_base", "_trans", "_gens", "_degree", "_id", "_len", "_mul")
 
     def __init__(self, stab: _Chain):
         # A chain without levels belongs to the trivial group.
         self._levels = [list(trans.values()) for trans in stab.trans] or [[stab._id]]
         self._base = stab.base
         self._trans = stab.trans
-        self._inv = stab.inv
         self._gens = stab.gens
         self._degree = stab.degree
         self._id = stab._id
@@ -318,42 +376,33 @@ class _Elements(Sequence):
 
         Any function that conjugation keeps has the same weighted sum over
         these pairs as over the group (see the class docstring).  Level by
-        level, each H-orbit x^H other than {b} gives one block: a chain of H
-        with x as its first base point, sifted from uniform elements of H
-        until its order is |H| (``_rebased``), gives H_x and the r_y, and
-        every element of H_x * r_y * t_x is yielded for one y per orbit of
-        H_{x'} = t_x * H_x * t_x^-1.  A fixed point x of H needs no chain:
-        the block is H * t_x with weight 1.  The identity comes last, with
-        weight 1.  Raises TooLarge, before a block is built, once the count
-        of elements yielded would pass MAX_ELEMENTS.
+        level, each H-orbit x^H other than {b} gives the block H * t_x at
+        weight |x^H|, refined by ``_coset_pieces`` over a chain of H: for
+        |x^H| > 1 a chain with x as its first base point, sifted from
+        uniform elements of H until its order is |H| (``_rebased``); for a
+        fixed point x of H, H's own levels.  The identity comes last, with
+        weight 1.  Raises TooLarge, before it yields a piece's elements, once
+        the count of elements yielded would pass MAX_ELEMENTS.
         """
         mul, degree, ident = self._mul, self._degree, self._id
         evaluated = 0
         for lvl, b in enumerate(self._base):
-            stab_gens = [g for g, at in self._gens if at > lvl]
-            trans, inv = self._trans[lvl], self._inv[lvl]
-            for x, size in _orbits(trans, stab_gens):
+            stab_gens = [(g, at - lvl - 1) for g, at in self._gens if at > lvl]
+            trans = self._trans[lvl]
+            for x, size in _orbits(trans, [g for g, _ in stab_gens]):
                 if x == b:
                     continue
-                t = trans[x]
                 if size == 1:
-                    levels, reps = self._levels[lvl + 1 :], [(t, 1)]
+                    h_trans, h_gens = self._trans[lvl + 1 :], stab_gens
                 else:
                     sub = self._rebased(lvl, x)
-                    conj = [mul(mul(t, k), inv[x]) for k, at in sub.gens if at > 0]
-                    r = sub.trans[0]
-                    levels = [list(u.values()) for u in sub.trans[1:]]
-                    reps = [(mul(r[y], t), size * n) for y, n in _orbits(r, conj)]
-                if levels:
-                    # H_x's innermost level joins the representatives, so
-                    # each element costs one multiplication.
-                    reps = [(mul(u, rt), w) for u in levels[0] for rt, w in reps]
-                    levels = levels[1:]
-                evaluated += math.prod(map(len, levels)) * len(reps)
-                if evaluated > MAX_ELEMENTS:
-                    raise TooLarge(f"the weighted sum needs more than {MAX_ELEMENTS} elements")
-                heads = _products(levels, ident, mul, degree)
-                yield from ((mul(h, rt), w) for h in heads for rt, w in reps)
+                    h_trans, h_gens = sub.trans, sub.gens
+                for levels, reps in _coset_pieces(h_trans, h_gens, trans[x], size, mul):
+                    evaluated += math.prod(map(len, levels)) * len(reps)
+                    if evaluated > MAX_ELEMENTS:
+                        raise TooLarge(f"the weighted sum needs more than {MAX_ELEMENTS} elements")
+                    heads = _products(levels, ident, mul, degree)
+                    yield from ((mul(h, rt), w) for h in heads for rt, w in reps)
         yield ident[:degree], 1
 
     def _rebased(self, lvl: int, x: int) -> _Chain:

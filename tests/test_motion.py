@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from distchrom.algebra import least_prime_divisor, partition_count
 from distchrom.coloring import Coloring, is_distinguishing, is_proper
-from distchrom.families import INFINITY, pgl3_action, slope_graph, slope_of
+from distchrom.families import INFINITY, pgammal3_action, pgl3_action, slope_graph, slope_of
 from distchrom.graphcore import Graph, automorphism_group
 from distchrom.motion import (
     HalfPowerBound,
@@ -255,11 +255,38 @@ def test_fixer_sum_over_suborbits_matches_the_reference(name):
     assert exact_expected_fixers(c1, els, t) == _reference_fixers(c1, list(els), t)
 
 
+def _relabelled(gens, c1, seed):
+    rho = list(range(len(gens[0])))
+    random.Random(seed).shuffle(rho)
+    moved = []
+    for g in gens:
+        img = [0] * len(g)
+        for i, gi in enumerate(g):
+            img[rho[i]] = rho[gi]
+        moved.append(tuple(img))
+    return moved, [rho[v] for v in c1]
+
+
+@pytest.mark.parametrize(
+    "spec,class_size,t",
+    [(lambda: pgammal3_action(4), 21, 3), (lambda: induced_action_on_ksets(7, 3), 35, 2)],
+    ids=["PGammaL(3,4)", "S7-on-3-sets"],
+)
+def test_relabelled_groups_give_equal_reports(spec, class_size, t):
+    # A relabelling moves the chain's base points, and so the blocks and
+    # the way each is refined; the report must not move.
+    gens = spec().generators
+    expected = exact_expected_fixers(range(class_size), closure(gens), t)
+    for seed in (1, 2, 3):
+        moved, c1 = _relabelled(gens, range(class_size), seed)
+        els = closure(moved)
+        assert sum(w for _, w in els.pair_orbit_weighted()) == len(els) == expected.group_order
+        assert exact_expected_fixers(c1, els, t) == expected
+
+
 def test_levi_q7_exact_certificate():
     # PGL(3,7) on the 114 points and lines of PG(2,7), the 57 points split
     # in two; the value is the one the sum over all 5,630,688 elements gives
-    from distchrom.families import pgammal3_action
-
     rep = exact_expected_fixers(range(57), pgammal3_action(7).elements(), 2)
     assert rep.group_order == 5_630_688
     assert rep.exact_EN == Fraction(1126090150368183, 2**50)
@@ -276,8 +303,6 @@ def test_levi_q8_exact_certificate():
     # PGammaL(3,8), of 49,448,448 elements, above the cap on a full pass: the
     # weighted sum reads far fewer.  The values are the ones the sum over one
     # coset per suborbit gives, 1,354,752 elements.
-    from distchrom.families import pgammal3_action
-
     rep = exact_expected_fixers(range(73), pgammal3_action(8).elements(), 2)
     assert rep.group_order == 49_448_448
     assert rep.exact_EN == Fraction(576461376604994013, 2**59)
