@@ -161,25 +161,16 @@ def _class_arithmetic(pts: list[int], degree: int):
     """Operations on restrictions to a class: bytes up to degree 256, else tuples.
 
     A restriction lists the images of the class points ``cls`` in order, so
-    ``cls`` itself is the identity.  Returns (cls, extend, compose,
-    fixed_count, identity): ``extend(p)`` turns an element into a table,
+    ``cls`` itself is the identity.  Returns (cls, pad, compose,
+    fixed_count, identity): ``p + pad`` turns an element into a table,
     ``compose(q, table)[i] == table[q[i]]``, ``fixed_count(q)`` counts the
     positions where ``q`` agrees with ``cls``, and ``identity`` is the
-    identity element as a table.
+    identity element as a table.  On the bytes path ``fixed_count`` is
+    None: the sum counts fixed points in place, which costs less than a
+    call.
     """
-    size = len(pts)
     if degree <= 256:
-        cls = bytes(pts)
-        pad = bytes(range(degree, 256))
-        cls_int = int.from_bytes(cls, "little")
-
-        def extend(p):
-            return (p if type(p) is bytes else bytes(p)) + pad
-
-        def fixed_count(q):
-            return (int.from_bytes(q, "little") ^ cls_int).to_bytes(size, "little").count(0)
-
-        return cls, extend, bytes.translate, fixed_count, bytes(range(256))
+        return bytes(pts), bytes(range(degree, 256)), bytes.translate, None, bytes(range(256))
     cls = tuple(pts)
 
     def compose(q, table):
@@ -188,7 +179,7 @@ def _class_arithmetic(pts: list[int], degree: int):
     def fixed_count(q):
         return sum(map(eq, q, cls))
 
-    return cls, tuple, compose, fixed_count, tuple(range(degree))
+    return cls, (), compose, fixed_count, tuple(range(degree))
 
 
 def _check_stabilizes(p, pts: list[int], inside: frozenset) -> None:
@@ -254,10 +245,8 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
             raise InvalidParameters(
                 f"element list is not a group: it generates one of order {len(group)}, not {len(elements)}"
             )
-    cls, extend, compose, fixed_count, identity = _class_arithmetic(pts, degree)
-    # On the bytes path the divisor loop counts fixed points in place, which
-    # costs less than a call to ``fixed_count``.
-    cls_int = int.from_bytes(cls, "little") if degree <= 256 else None
+    cls, pad, compose, fixed_count, identity = _class_arithmetic(pts, degree)
+    cls_int = int.from_bytes(cls, "little") if fixed_count is None else None
     from_bytes = int.from_bytes
     histogram: dict[int, int] = {}
     f_max: int | None = None
@@ -270,8 +259,8 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     # H * t_y, so the sum runs over one block per H-orbit of points y,
     # weighted by the orbit's size, and H itself is summed the same way one
     # level down.  Each block is refined down a chain of H: its cosets that
-    # strong generators of the chain permute by conjugation are summed once,
-    # weighted by their number (see ``_Elements.pair_orbit_weighted``).
+    # transversal entries of the chain permute by conjugation are summed
+    # once, weighted by their number (see ``_Elements.pair_orbit_weighted``).
     # Theta, the number of orbits of <sigma> on the class, follows from
     # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
     # where o, the order of sigma, is found by stepping through its powers.
@@ -279,10 +268,14 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
     # order (lcm of cycle lengths, each at most |class|) takes theta from one
     # walk over its cycles instead of stepping through all o powers.
     for p, w in group.pair_orbit_weighted():
-        table = extend(p)
+        table = p + pad
         sigma = compose(cls, table)
-        fixed = fixed_count(sigma)
+        if cls_int is None:
+            fixed = fixed_count(sigma)
+        else:
+            fixed = (from_bytes(sigma, "little") ^ cls_int).to_bytes(size, "little").count(0)
         powers = [sigma]
+        append = powers.append
         q = sigma
         for _ in repeat(None, size):
             if q == cls:
@@ -302,7 +295,7 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
                 theta = total // order
                 break
             q = compose(q, table)
-            powers.append(q)
+            append(q)
         else:
             theta = orbit_count_on(table, pts)[0]
         if 2 * theta > fixed + size:

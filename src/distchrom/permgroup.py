@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, product, repeat
-from operator import index
+from itertools import chain, combinations, compress, count, product, repeat
+from operator import index, ne
 
 from .algebra import InvalidParameters, binomial
 
@@ -91,8 +90,12 @@ class _Chain:
     Level 0 forms its Schreier generators from the inserted generators that
     enlarged the group, deeper levels from their strong generators: by
     Schreier's lemma those of any generating set of G generate G_{base[0]}.
-    Internally permutations are 256-padded bytes when the degree allows it,
-    making composition a single ``translate`` call.
+    Each orbit stays closed under its level's strong generators, so a new
+    generator extends it from the points it already holds alone, and the
+    points that join take every generator (Seress, §4.1).  Internally
+    permutations are 256-padded bytes when the degree allows it: ``_mul``
+    is then ``bytes.translate`` and inversion one ``bytes.maketrans`` call;
+    larger degrees use tuples and ``compose``.
     """
 
     def __init__(self, degree: int):
@@ -107,25 +110,19 @@ class _Chain:
         self._bytes = degree <= 256
         if self._bytes:
             self._id = bytes(range(256))
+            self._mul = bytes.translate
         else:
             self._id = identity(degree)
+            self._mul = compose
 
     def _pack(self, p: Perm):
         if self._bytes:
             return bytes(p) + self._id[self.degree :]
         return p
 
-    def _mul(self, a, b):
-        if self._bytes:
-            return a.translate(b)
-        return tuple(b[x] for x in a)
-
     def _inv(self, a):
         if self._bytes:
-            out = bytearray(self._id)
-            for i in range(self.degree):
-                out[a[i]] = i
-            return bytes(out)
+            return bytes.maketrans(a, self._id)
         return inverse(a)
 
     def _is_id(self, a) -> bool:
@@ -142,41 +139,52 @@ class _Chain:
         # levels >= lvl fixes base[:lvl] and so acts within its stabilizer.
         return [(serial, g) for serial, (g, at) in enumerate(self.gens) if at >= lvl]
 
-    def _extend_orbit(self, lvl: int) -> None:
-        # Each new t_y = t_x * g gets its inverse g^-1 * t_x^-1 alongside, so
-        # sifting never inverts a transversal element.
-        trans, inv = self.trans[lvl], self.inv[lvl]
-        queue = deque(trans)
-        gens = [(g, self.gen_inv[serial]) for serial, g in self._level_gens(lvl)]
-        while queue:
-            x = queue.popleft()
-            tx = trans[x]
-            for g, g_inv in gens:
-                y = g[x]
+    def _extend_orbit(self, lvl: int, g, g_inv) -> None:
+        # The orbit is closed under the level's older generators, so only
+        # the new generator g walks its old points; every generator walks
+        # the points that join.  Each new t_y = t_x * h gets its inverse
+        # h^-1 * t_x^-1 alongside, so sifting never inverts a transversal
+        # element.
+        trans, inv, mul = self.trans[lvl], self.inv[lvl], self._mul
+        new = []
+        for x in list(trans):
+            y = g[x]
+            if y not in trans:
+                trans[y] = mul(trans[x], g)
+                inv[y] = mul(g_inv, inv[x])
+                new.append(y)
+        if not new:
+            return
+        gens = [(h, self.gen_inv[serial]) for serial, h in self._level_gens(lvl)]
+        for x in new:
+            tx, ix = trans[x], inv[x]
+            for h, h_inv in gens:
+                y = h[x]
                 if y not in trans:
-                    trans[y] = self._mul(tx, g)
-                    inv[y] = self._mul(g_inv, inv[x])
-                    queue.append(y)
+                    trans[y] = mul(tx, h)
+                    inv[y] = mul(h_inv, ix)
+                    new.append(y)
 
     def _strip(self, g, start: int):
-        for lvl in range(start, len(self.base)):
-            x = g[self.base[lvl]]
-            if x == self.base[lvl]:
+        mul, base = self._mul, self.base
+        for lvl in range(start, len(base)):
+            x = g[base[lvl]]
+            if x == base[lvl]:
                 continue
             inv = self.inv[lvl]
             if x not in inv:
                 return g, lvl
-            g = self._mul(g, inv[x])
-        return g, len(self.base)
+            g = mul(g, inv[x])
+        return g, len(base)
 
     def _add_gen(self, g, lvl: int) -> None:
         if lvl == len(self.base):
-            moved = min(i for i in range(self.degree) if g[i] != i)
-            self._new_level(moved)
+            self._new_level(next(compress(count(), map(ne, g, self._id))))
+        g_inv = self._inv(g)
         self.gens.append((g, lvl))
-        self.gen_inv.append(self._inv(g))
+        self.gen_inv.append(g_inv)
         for i in range(min(lvl, len(self.base) - 1), -1, -1):
-            self._extend_orbit(i)
+            self._extend_orbit(i, g, g_inv)
 
     def _schreier_gens(self, lvl: int):
         return list(enumerate(self.inputs)) if lvl == 0 else self._level_gens(lvl)
@@ -185,6 +193,7 @@ class _Chain:
         # Sift every unprocessed Schreier generator everywhere.  A pair once
         # sifted to identity stays valid when the chain grows, so pairs are
         # processed at most once; insertions only create new pairs.
+        mul = self._mul
         while True:
             inserted = False
             for lvl in range(len(self.base)):
@@ -200,7 +209,7 @@ class _Chain:
                         if (x, serial) in done:
                             continue
                         done.add((x, serial))
-                        schreier = self._mul(self._mul(tx, s), inv[s[x]])
+                        schreier = mul(mul(tx, s), inv[s[x]])
                         if self._is_id(schreier):
                             continue
                         residue, res_lvl = self._strip(schreier, lvl + 1)
@@ -259,44 +268,40 @@ def _orbits(points, gens):
         yield x, len(orbit)
 
 
-def _coset_pieces(trans, gens, s, weight, mul):
+def _coset_pieces(trans, s, weight, mul):
     """Weighted pieces over which a class function sums as over the coset C_0 * s.
 
-    ``trans`` and ``gens`` are a stabilizer chain of C_0, the stabilizer of
-    a point b (base c_0, c_1, ...; strong generators with their levels),
-    and every strong generator above level 0 fixes b^s.  Yields pieces
-    (levels, reps), depth by depth: a piece stands for every h * r, at
-    weight w, with h a product over ``levels`` (see ``_products``) and
-    (r, w) in reps.  The refinement is proved in the ``_Elements``
-    docstring.
+    ``trans`` is a stabilizer chain's transversals of C_0, the stabilizer
+    of a point b (base c_0, c_1, ...), and every entry above level 0 fixes
+    b^s.  Yields pieces (levels, reps), one leaf of the refinement at a
+    time: a piece stands for every h * r, at weight w, with h a product
+    over ``levels`` (see ``_products``) and (r, w) in reps.  The refinement
+    is proved in the ``_Elements`` docstring.
     """
     levels = [list(u.values()) for u in trans]
-    # A node (s, w, fixers) at depth d is the coset C_d * s at weight w;
-    # fixers are the strong generators above level d - 1 that fix P, the
-    # images under s of c_0, ..., c_{d-1}.
-    nodes = [(s, weight, gens)]
-    for d in range(len(levels) + 1):
-        reps, children = [], []
-        for s, w, fixers in nodes:
-            ks = [g for g, at in fixers if at > d]
-            if ks:
-                # The child of z holds the elements that send c_d to z^s;
-                # conjugation by k moves z^s by k.
-                level = trans[d]
-                back = {s[z]: z for z in level}
-                for p, n in _orbits(back, ks):
-                    keep = [(g, at) for g, at in fixers if at > d and g[p] == p]
-                    children.append((mul(level[back[p]], s), w * n, keep))
-            elif d == len(levels):
-                # C_d is trivial, so the node is s alone.
-                reps.append((s, w))
-            else:
-                # Level d joins the representatives, so each element costs
-                # one multiplication.
-                reps.extend(zip(map(mul, levels[d], repeat(s)), repeat(w)))
-        if reps:
-            yield levels[d + 1 :], reps
-        nodes = children
+    # A node (d, s, w, fixers) is the coset C_d * s at weight w; fixers are
+    # the transversal entries, with their levels, above level d - 1 that fix
+    # P, the images under s of c_0, ..., c_{d-1}.  Each level's first entry
+    # is the identity, which merges nothing.
+    nodes = [(0, s, weight, [(u, e) for e in range(1, len(levels)) for u in levels[e][1:]])]
+    while nodes:
+        d, s, w, fixers = nodes.pop()
+        ks = [u for u, e in fixers if e > d]
+        if ks:
+            # The child of z holds the elements that send c_d to z^s;
+            # conjugation by k moves z^s by k.
+            level = trans[d]
+            back = {s[z]: z for z in level}
+            for p, n in _orbits(back, ks):
+                keep = [(u, e) for u, e in fixers if e > d and u[p] == p]
+                nodes.append((d + 1, mul(level[back[p]], s), w * n, keep))
+        elif d == len(levels):
+            # C_d is trivial, so the node is s alone.
+            yield [], [(s, w)]
+        else:
+            # Level d joins the representatives, so each element costs one
+            # multiplication.
+            yield levels[d + 1 :], list(zip(map(mul, levels[d], repeat(s)), repeat(w)))
 
 
 class _Elements(Sequence):
@@ -325,9 +330,9 @@ class _Elements(Sequence):
     be the stabilizer of c_0, ..., c_{d-1} in H, so C_0 = H, and let a node
     be a coset C_d * s; the root is H * t_x.  C_d is the union of the
     C_{d+1} * u_z over its transversal entries u_z, which send c_d to z, so
-    the node is the union of its children C_{d+1} * u_z * s.  Let k be a
-    strong generator above level d (so k is in C_{d+1}) that fixes every
-    point of P, the images under s of c_0, ..., c_{d-1}.  Then s * k * s^-1
+    the node is the union of its children C_{d+1} * u_z * s.  Let k be any
+    element of C_{d+1} that fixes every point of P, the images under s of
+    c_0, ..., c_{d-1}.  Then s * k * s^-1
     fixes c_0, ..., c_{d-1}, and b too: b^s = x, as s is in H * t_x, and k
     fixes x, which is c_0 or fixed by H.  So s * k * s^-1 is in C_d, and
     conjugation by k maps the child of z onto the child of z', where
@@ -339,9 +344,11 @@ class _Elements(Sequence):
     same value over the children of one orbit of these k on the points
     z^s, and the sum takes one child per orbit, weighted by the orbit's
     size, and refines it in turn; a node with no such k is enumerated
-    whole.  A child's P is its parent's plus z^s, as u_z fixes c_0, ...,
-    c_{d-1}.  At the root P is empty; with x first in the chain, the strong
-    generators above level 0 generate H_x, the children are H_x * r_y * t_x
+    whole.  The sum takes as these k the transversal entries of the levels
+    e > d that fix P: an entry of level e lies in C_e, inside C_{d+1}.  A
+    child's P is its parent's plus z^s, as u_z fixes c_0, ..., c_{d-1}.
+    At the root P is empty; with x first in the chain, the entries above
+    level 0 generate H_x, the children are H_x * r_y * t_x
     for r_y in H sending x to y, and the orbits are those of
     H_{x'} = t_x * H_x * t_x^-1 on x^H, x' = b^(t_x^-1): the same as
     grouping the elements g of G_j with b^g in x^H by the pair
@@ -359,7 +366,7 @@ class _Elements(Sequence):
         self._degree = stab.degree
         self._id = stab._id
         self._len = math.prod(map(len, self._levels))
-        self._mul = bytes.translate if stab._bytes else compose
+        self._mul = stab._mul
 
     def __len__(self) -> int:
         return self._len
@@ -376,33 +383,38 @@ class _Elements(Sequence):
 
         Any function that conjugation keeps has the same weighted sum over
         these pairs as over the group (see the class docstring).  Level by
-        level, each H-orbit x^H other than {b} gives the block H * t_x at
-        weight |x^H|, refined by ``_coset_pieces`` over a chain of H: for
-        |x^H| > 1 a chain with x as its first base point, sifted from
-        uniform elements of H until its order is |H| (``_rebased``); for a
-        fixed point x of H, H's own levels.  The identity comes last, with
-        weight 1.  Raises TooLarge, before it yields a piece's elements, once
-        the count of elements yielded would pass MAX_ELEMENTS.
+        level, each H-orbit x^H other than {b} (found with the strong
+        generators above the level) gives the block H * t_x at weight
+        |x^H|, refined by ``_coset_pieces`` over the transversals of a chain
+        of H: for |x^H| > 1 a chain with x as its first base point, sifted
+        from uniform elements of H until its order is |H| (``_rebased``);
+        for a fixed point x of H, H's own levels.  Pieces come one leaf of
+        the refinement at a time, so only one node's representatives are
+        held.  The identity comes last, with weight 1.  Raises TooLarge,
+        before it yields a piece's elements, once the count of elements
+        yielded would pass MAX_ELEMENTS.
         """
         mul, degree, ident = self._mul, self._degree, self._id
         evaluated = 0
         for lvl, b in enumerate(self._base):
-            stab_gens = [(g, at - lvl - 1) for g, at in self._gens if at > lvl]
             trans = self._trans[lvl]
-            for x, size in _orbits(trans, [g for g, _ in stab_gens]):
+            for x, size in _orbits(trans, [g for g, at in self._gens if at > lvl]):
                 if x == b:
                     continue
-                if size == 1:
-                    h_trans, h_gens = self._trans[lvl + 1 :], stab_gens
-                else:
-                    sub = self._rebased(lvl, x)
-                    h_trans, h_gens = sub.trans, sub.gens
-                for levels, reps in _coset_pieces(h_trans, h_gens, trans[x], size, mul):
+                h_trans = self._trans[lvl + 1 :] if size == 1 else self._rebased(lvl, x).trans
+                for levels, reps in _coset_pieces(h_trans, trans[x], size, mul):
                     evaluated += math.prod(map(len, levels)) * len(reps)
                     if evaluated > MAX_ELEMENTS:
                         raise TooLarge(f"the weighted sum needs more than {MAX_ELEMENTS} elements")
-                    heads = _products(levels, ident, mul, degree)
-                    yield from ((mul(h, rt), w) for h in heads for rt, w in reps)
+                    # Most pieces have no levels left: their elements are
+                    # the representatives, cut to the degree.
+                    if levels:
+                        for h in _products(levels, ident, mul, degree):
+                            for rt, w in reps:
+                                yield mul(h, rt), w
+                    else:
+                        for rt, w in reps:
+                            yield rt[:degree], w
         yield ident[:degree], 1
 
     def _rebased(self, lvl: int, x: int) -> _Chain:

@@ -269,8 +269,13 @@ def _relabelled(gens, c1, seed):
 
 @pytest.mark.parametrize(
     "spec,class_size,t",
-    [(lambda: pgammal3_action(4), 21, 3), (lambda: induced_action_on_ksets(7, 3), 35, 2)],
-    ids=["PGammaL(3,4)", "S7-on-3-sets"],
+    [
+        (lambda: pgammal3_action(4), 21, 3),
+        (lambda: induced_action_on_ksets(7, 3), 35, 2),
+        (lambda: pgl3_action(5), 31, 2),
+        (lambda: induced_action_on_ksets(9, 4), 126, 2),
+    ],
+    ids=["PGammaL(3,4)", "S7-on-3-sets", "PGL(3,5)", "S9-on-4-sets"],
 )
 def test_relabelled_groups_give_equal_reports(spec, class_size, t):
     # A relabelling moves the chain's base points, and so the blocks and

@@ -315,12 +315,47 @@ def test_group_order_matches_sympy(gens):
     assert group_order(padded) == expected
 
 
+def _check_chain(chain):
+    # At every level, t_y sends the base point to y and inv[y] is its
+    # inverse, and the orbit is the one a plain search finds under the
+    # level's strong generators.
+    for lvl, b in enumerate(chain.base):
+        trans, inv = chain.trans[lvl], chain.inv[lvl]
+        assert trans.keys() == inv.keys()
+        for y, t in trans.items():
+            assert t[b] == y
+            assert chain._mul(t, inv[y]) == chain._id == chain._mul(inv[y], t)
+        gens = [g for g, at in chain.gens if at >= lvl]
+        orbit = [b]
+        for x in orbit:
+            orbit.extend(y for y in {g[x] for g in gens} if y not in orbit)
+        assert set(trans) == set(orbit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_chain_levels_hold_their_invariants(gens):
+    _check_chain(_chain_of(gens))
+    padded = [g + tuple(range(len(g), 260)) for g in gens]
+    _check_chain(_chain_of(padded))
+
+
+@pytest.mark.parametrize("name", list(SUBORBIT_GROUPS))
+def test_rebased_chains_hold_their_invariants(name):
+    els = closure(SUBORBIT_GROUPS[name][0])
+    for lvl, b in enumerate(els._base):
+        stab_gens = [g for g, at in els._gens if at > lvl]
+        for x, size in permgroup._orbits(els._trans[lvl], stab_gens):
+            if x != b and size > 1:
+                _check_chain(els._rebased(lvl, x))
+
+
 @pytest.mark.parametrize(
     "spec,evaluated",
     [
         (lambda: pgl3_action(5), 644),
         (lambda: pgammal3_action(4), 458),
-        (lambda: induced_action_on_ksets(9, 4), 988),
+        (lambda: induced_action_on_ksets(9, 4), 940),
     ],
     ids=["PGL(3,5)", "PGammaL(3,4)", "S9-on-4-sets"],
 )
