@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distchrom import permgroup
 from distchrom.algebra import InvalidParameters
@@ -334,6 +334,9 @@ def _check_chain(chain):
 
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
+# (2 3) adds point 3 to the orbit {0, 2} of (0 2)(3 4), which must then
+# walk 3 on to 4.
+@example([(2, 1, 0, 4, 3), (0, 1, 3, 2, 4)])
 def test_chain_levels_hold_their_invariants(gens):
     _check_chain(_chain_of(gens))
     padded = [g + tuple(range(len(g), 260)) for g in gens]
