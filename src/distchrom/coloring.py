@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import InvalidParameters
-from .graphcore import Graph, SearchTimeout, _first_automorphism, _is_automorphism, _is_int
+from .graphcore import Graph, SearchTimeout, _first_automorphism, _is_automorphism, _is_int, _line_ints
 from .permgroup import Perm
 
 __all__ = [
@@ -113,11 +113,10 @@ class Coloring:
     @staticmethod
     def from_text(text: str) -> "Coloring":
         pairs = []
-        for ln in text.splitlines():
+        for no, ln in enumerate(text.splitlines(), 1):
             if not ln.strip() or ln.startswith("#"):
                 continue
-            v, c = ln.split()
-            pairs.append((int(v), int(c)))
+            pairs.append(tuple(_line_ints(no, ln, ln.split(), 2, "a vertex and its color 'v c'")))
         pairs.sort()
         if [v for v, _ in pairs] != list(range(len(pairs))):
             raise ValueError("coloring file must list every vertex exactly once")
@@ -375,7 +374,12 @@ class ChiDResult:
 def distinguishing_chromatic_number(
     g: Graph, max_k: int | None = None, budget: int = 10**6
 ) -> ChiDResult:
-    """Smallest k with a proper distinguishing k-coloring, by exhaustive sweep."""
+    """Smallest k with a proper distinguishing k-coloring, by exhaustive sweep.
+
+    ``budget`` caps the colorings examined and must be at least 1.
+    """
+    if not budget >= 1:
+        raise InvalidParameters(f"coloring budget must be at least 1, got {budget}")
     chi = chromatic_number(g)
     if max_k is None:
         max_k = g.n

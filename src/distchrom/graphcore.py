@@ -5,8 +5,9 @@ vertex.  Construction validates a graph with word operations: one integer
 test per row for range and self-loops, a bit-matrix transpose per nonzero
 tile of at most 256 x 256 entries for symmetry (a single tile up to 256
 vertices), and one same-side mask per side value.  The automorphism machinery
-is a partition-backtrack search: iterated equitable (degree-count) refinement
-plus individualization with orbit pruning.  Below the root each node refines
+is a partition-backtrack search: iterated equitable (degree-count) refinement,
+which queues every part of a split but the largest (Hopcroft's rule), plus
+individualization with orbit pruning.  Below the root each node refines
 from its individualized vertex alone, since the parent partition is already
 equitable.  The search returns generators together with the exact group
 order, computed by orbit-stabilizer recursion, and optionally respects an
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .algebra import InvalidParameters
 from .permgroup import Perm, inverse
 
 __all__ = [
@@ -159,33 +161,30 @@ class Graph:
 
     @staticmethod
     def from_text(text: str) -> "Graph":
-        lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise ValueError("empty graph file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError("header must be 'n m'")
-        n, m = int(head[0]), int(head[1])
+        no, head = lines[0]
+        n, m = _line_ints(no, head, head.split(), 2, "a header 'n m'")
         _check_vertex_count(n)
         edges = []
         side = None
         labels = None
-        for ln in lines[1:]:
+        for no, ln in lines[1:]:
             if ln.startswith("#side"):
-                side = tuple(int(t) for t in ln.split()[1:])
+                side = tuple(_line_ints(no, ln, ln.split()[1:], None, "'#side' and one tag per vertex"))
             elif ln.startswith("#label"):
                 if labels is None:
                     labels = [""] * n
-                _, v, *rest = ln.split(maxsplit=2)
-                v = int(v)
+                _, *rest = ln.split(maxsplit=2)
+                (v,) = _line_ints(no, ln, rest[:1], 1, "'#label v text'")
                 if not 0 <= v < n:
                     raise ValueError(f"label for vertex {v} outside 0..{n - 1}")
-                labels[v] = rest[0] if rest else ""
+                labels[v] = rest[1] if len(rest) > 1 else ""
             elif ln.startswith("#"):
                 continue
             else:
-                u, v = ln.split()
-                edges.append((int(u), int(v)))
+                edges.append(tuple(_line_ints(no, ln, ln.split(), 2, "an edge 'u v'")))
         if len(edges) != m:
             raise ValueError(f"expected {m} edges, found {len(edges)}")
         _reject_duplicate_edges(edges)
@@ -295,6 +294,19 @@ def _transpose_masks(width: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _line_ints(no: int, line: str, tokens: list[str], count: int | None, form: str) -> list[int]:
+    """``tokens`` of text-file line ``no`` as integers, ``count`` of them unless None.
+
+    Anything else raises ValueError naming the line and the expected ``form``.
+    """
+    if count is None or len(tokens) == count:
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            pass
+    raise ValueError(f"line {no}: expected {form}, got {line.strip()!r}")
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -384,6 +396,11 @@ class _Budget:
     def __init__(self, steps: int, secs: float | None = None):
         import time
 
+        if not steps >= 1:
+            raise InvalidParameters(f"step budget must be at least 1, got {steps}")
+        # ``not secs > 0`` also catches NaN, which every deadline test would pass
+        if secs is not None and not secs > 0:
+            raise InvalidParameters(f"wall-clock budget must be positive seconds, got {secs}")
         self.remaining = steps
         self.deadline = None if secs is None else time.monotonic() + secs
         self.tick = 0
@@ -407,19 +424,29 @@ def _refine(adj, cells, splitters, budget):
 
     ``cells`` is a list of ascending vertex tuples and ``splitters`` the
     initial queue of splitter vertex masks.  Cells are repeatedly split by
-    neighbor counts against the queued splitters, and every new subcell joins
-    the queue; subcells are ordered by count value, so the procedure is
-    equivariant under relabeling.  Returns the refined cell list and a trace
-    of (position, split signature) events that two isomorphic configurations
-    reproduce exactly.
+    neighbor counts against the queued splitters; subcells are ordered by
+    count value, so the procedure is equivariant under relabeling.  Returns
+    the refined cell list and a trace of (position, split signature) events
+    that two isomorphic configurations reproduce exactly.
+
+    Hopcroft's rule: a split queues every subcell but the first largest one.
+    Bare masks suffice; the queue need not know whether the parent cell is in
+    it.  Each cell's mask is a sum and difference of masks that are either
+    pending or already uniform for every cell.  That holds for the starting
+    cells and survives each split, since the counts against the skipped
+    subcell are the parent's minus its siblings'.  So once the queue is empty
+    every cell is uniform against every cell.  The final cells are those of
+    queueing every subcell, the coarsest equitable refinement; their order
+    and the trace may differ, and the work falls.
 
     At the root the caller queues every cell, since the initial partition is
     arbitrary.  Below it, ``_child`` individualizes a vertex v of an
-    equitable parent and queues only {v}.  That suffices: every parent cell
-    is uniform against every other one, so none of them would split anything
-    before {v} does, and once {v} has run, the rest of v's old cell is
-    uniform too (its counts are the old cell's minus {v}'s).  The cells and
-    the trace are exactly those of queueing every cell; only the work shrinks.
+    equitable parent and queues only {v}, the same argument with the rest of
+    v's old cell as the skipped part: every parent cell is uniform against
+    every other one, so none of them would split anything before {v} does,
+    and once {v} has run, the rest of v's old cell is uniform too (its counts
+    are the old cell's minus {v}'s).  The cells and the trace are exactly
+    those of queueing every cell; only the work shrinks.
 
     Only non-singleton cells are visited (their positions are maintained
     incrementally) and the scan stops once the partition is discrete.
@@ -455,12 +482,15 @@ def _refine(adj, cells, splitters, budget):
                 continue
             keys = sorted(buckets)
             parts = [tuple(buckets[k]) for k in keys]
+            sizes = [len(part) for part in parts]
             cells[i : i + 1] = parts
-            trace.append((i, tuple((k, len(buckets[k])) for k in keys)))
-            for part in parts:
-                queue.append(_mask(part))
+            trace.append((i, tuple(zip(keys, sizes))))
+            largest = sizes.index(max(sizes))
+            for j, part in enumerate(parts):
+                if j != largest:
+                    queue.append(_mask(part))
             shift = len(parts) - 1
-            fresh = [i + j for j, part in enumerate(parts) if len(part) > 1]
+            fresh = [i + j for j, size in enumerate(sizes) if size > 1]
             big[bi : bi + 1] = fresh
             for t in range(bi + len(fresh), len(big)):
                 big[t] += shift
@@ -635,7 +665,9 @@ def automorphism_group(
     When ``initial_partition`` is given (an ordered list of vertex cells
     covering every vertex), the returned group is the subgroup stabilizing
     each cell setwise.  Raises SearchTimeout when the refinement budget is
-    exhausted; a timeout never yields a partial result.
+    exhausted; a timeout never yields a partial result.  A step budget below
+    1, or a wall-clock budget that is not a positive number of seconds, raises
+    InvalidParameters.
     """
     gens, order = _search(g, initial_partition, _Budget(budget_steps, budget_secs), False)
     for p in gens:

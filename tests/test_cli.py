@@ -109,6 +109,9 @@ def test_verify_malformed_file(tmp_path, capsys):
     cpath.write_text("0 1\n0 2\n")
     code, _, err = run(capsys, "verify", str(gpath), str(cpath))
     assert code == 2
+    cpath.write_text("0 1\n1 2 3\n")
+    code, _, err = run(capsys, "verify", str(gpath), str(cpath))
+    assert (code, err) == (2, "error: line 2: expected a vertex and its color 'v c', got '1 2 3'\n")
 
 
 def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
@@ -120,6 +123,7 @@ def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
         ("2000000 0\n", "too large"),
         ("-1 0\n", "header"),
         ("-3 0\n#label 0 x\n", "header"),
+        ("3 2\n0 1\n1 2 0\n", "line 3: expected an edge 'u v', got '1 2 0'"),
     ):
         path.write_text(text)
         code, _, err = run(capsys, "aut", str(path))
@@ -127,6 +131,28 @@ def test_aut_rejects_malformed_graph_files(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
         assert err.count("\n") == 1
         assert reason in err, (text, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aut", "--budget-nodes", "-5"),
+        ("aut", "--budget-nodes", "0"),
+        ("aut", "--budget-secs", "nan"),
+        ("aut", "--budget-secs", "0"),
+        ("aut", "--budget-secs", "-1"),
+        ("chid", "--budget-nodes", "0"),
+        ("chid", "--budget-nodes", "-5"),
+    ],
+    ids=" ".join,
+)
+def test_invalid_budgets_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "k3.graph"
+    path.write_text(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]).to_text())
+    cmd, *opts = argv
+    code, out, err = run(capsys, cmd, str(path), *opts)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget must be" in err
 
 
 def test_json_inputs_with_wrong_value_types_exit_2(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_coloring_type():
     assert Coloring.from_text(text).colors == c.colors
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_chid_rejects_a_budget_below_one(budget):
+    with pytest.raises(InvalidParameters, match="budget must be at least 1"):
+        distinguishing_chromatic_number(cycle(4), budget=budget)
+
+
+def test_text_parse_errors_name_the_line():
+    # blank and comment lines count, so the number is the line in the file
+    with pytest.raises(ValueError, match=r"^line 3: expected a vertex and its color 'v c', got '1'$"):
+        Coloring.from_text("# colors\n0 1\n1\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected a vertex and its color 'v c', got '1 2 3'$"):
+        Coloring.from_text("0 1\n\n1 2 3\n")
+
+
 def test_is_proper():
     lg5 = levi_graph(5)
     sides = Coloring.from_sequence([1] * 31 + [2] * 31)
