@@ -19,6 +19,7 @@ the group needs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -651,7 +652,13 @@ def _search(g: Graph, initial_partition, budget: _Budget, first: bool):
         if covered != list(range(g.n)):
             raise ValueError("initial partition must cover every vertex exactly once")
     refined, _ = _refine(g.adj, cells, [_mask(c) for c in cells], budget)
-    return _stabilizer_search(g.adj, refined, budget, first)
+    # The search recurses once per individualized vertex, so at most n deep.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + g.n + 50)
+    try:
+        return _stabilizer_search(g.adj, refined, budget, first)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def automorphism_group(

@@ -17,7 +17,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from operator import eq
 
 from .algebra import InvalidParameters, binomial, least_prime_divisor, partition_count
 from .coloring import Coloring, is_distinguishing, is_proper, split_color_class
@@ -157,29 +156,55 @@ def _burnside_terms(order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _class_arithmetic(pts: list[int], degree: int):
-    """Operations on restrictions to a class: bytes up to degree 256, else tuples.
+def _cycle_counts(pairs, pts: list[int], degree: int):
+    """(theta, fixed, nontrivial, weight) for each (element, weight) pair.
 
-    A restriction lists the images of the class points ``cls`` in order, so
-    ``cls`` itself is the identity.  Returns (cls, pad, compose,
-    fixed_count, identity): ``p + pad`` turns an element into a table,
-    ``compose(q, table)[i] == table[q[i]]``, ``fixed_count(q)`` counts the
-    positions where ``q`` agrees with ``cls``, and ``identity`` is the
-    identity element as a table.  On the bytes path ``fixed_count`` is
-    None: the sum counts fixed points in place, which costs less than a
-    call.
+    theta counts the cycles of the element's restriction sigma to the class
+    ``pts`` and fixed its fixed points.  Up to degree 256 theta follows from
+    Burnside's lemma, (1/o) * sum over d | o of phi(o/d) * fix(sigma^d), with
+    the order o of sigma found by stepping through its powers as bytes; an
+    order above |class|, or a larger degree, takes theta from one walk over
+    sigma's cycles instead.
     """
-    if degree <= 256:
-        return bytes(pts), bytes(range(degree, 256)), bytes.translate, None, bytes(range(256))
-    cls = tuple(pts)
-
-    def compose(q, table):
-        return tuple(map(table.__getitem__, q))
-
-    def fixed_count(q):
-        return sum(map(eq, q, cls))
-
-    return cls, (), compose, fixed_count, tuple(range(degree))
+    size = len(pts)
+    if degree > 256:
+        identity = tuple(range(degree))
+        for p, w in pairs:
+            theta, fixed = orbit_count_on(p, pts)
+            yield theta, fixed, fixed < size or p != identity, w
+        return
+    cls = bytes(pts)
+    pad = bytes(range(degree, 256))
+    identity = bytes(range(256))
+    compose = bytes.translate
+    cls_int = int.from_bytes(cls, "little")
+    from_bytes = int.from_bytes
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for p, w in pairs:
+        table = p + pad
+        sigma = compose(cls, table)
+        fixed = (from_bytes(sigma, "little") ^ cls_int).to_bytes(size, "little").count(0)
+        powers = [sigma]
+        append = powers.append
+        q = sigma
+        for _ in repeat(None, size):
+            if q == cls:
+                order = len(powers)
+                if order not in terms:
+                    terms[order] = _burnside_terms(order)
+                total = size
+                for d, phi in terms[order]:
+                    if d == 1:
+                        total += phi * fixed
+                    else:
+                        total += phi * (from_bytes(powers[d - 1], "little") ^ cls_int).to_bytes(size, "little").count(0)
+                theta = total // order
+                break
+            q = compose(q, table)
+            append(q)
+        else:
+            theta = orbit_count_on(table, pts)[0]
+        yield theta, fixed, fixed < size or table != identity, w
 
 
 def _check_stabilizes(p, pts: list[int], inside: frozenset) -> None:
@@ -245,63 +270,19 @@ def exact_expected_fixers(c1, elements: Sequence[Perm], t: int, threads: int = 1
             raise InvalidParameters(
                 f"element list is not a group: it generates one of order {len(group)}, not {len(elements)}"
             )
-    cls, pad, compose, fixed_count, identity = _class_arithmetic(pts, degree)
-    cls_int = int.from_bytes(cls, "little") if fixed_count is None else None
-    from_bytes = int.from_bytes
     histogram: dict[int, int] = {}
     f_max: int | None = None
     theta_bound_ok = True
-    terms: dict[int, list[tuple[int, int]]] = {}
-    # sigma is an element's restriction to the class.  Conjugation by an
-    # element of the group keeps sigma's cycle type, and so theta, the fixed
-    # count and whether the element is the identity.  At each chain level,
-    # conjugation by the base point b's stabilizer H permutes the cosets
-    # H * t_y, so the sum runs over one block per H-orbit of points y,
-    # weighted by the orbit's size, and H itself is summed the same way one
-    # level down.  Each block is refined down a chain of H: its cosets that
-    # transversal entries of the chain permute by conjugation are summed
-    # once, weighted by their number (see ``_Elements.pair_orbit_weighted``).
-    # Theta, the number of orbits of <sigma> on the class, follows from
-    # Burnside's lemma: (1/o) * sum over d | o of phi(o/d) * fix(sigma^d),
-    # where o, the order of sigma, is found by stepping through its powers.
-    # An order up to |class| shows within |class| steps; an element of larger
-    # order (lcm of cycle lengths, each at most |class|) takes theta from one
-    # walk over its cycles instead of stepping through all o powers.
-    for p, w in group.pair_orbit_weighted():
-        table = p + pad
-        sigma = compose(cls, table)
-        if cls_int is None:
-            fixed = fixed_count(sigma)
-        else:
-            fixed = (from_bytes(sigma, "little") ^ cls_int).to_bytes(size, "little").count(0)
-        powers = [sigma]
-        append = powers.append
-        q = sigma
-        for _ in repeat(None, size):
-            if q == cls:
-                order = len(powers)
-                if order not in terms:
-                    terms[order] = _burnside_terms(order)
-                total = size
-                if cls_int is None:
-                    for d, phi in terms[order]:
-                        total += phi * (fixed if d == 1 else fixed_count(powers[d - 1]))
-                else:
-                    for d, phi in terms[order]:
-                        if d == 1:
-                            total += phi * fixed
-                        else:
-                            total += phi * (from_bytes(powers[d - 1], "little") ^ cls_int).to_bytes(size, "little").count(0)
-                theta = total // order
-                break
-            q = compose(q, table)
-            append(q)
-        else:
-            theta = orbit_count_on(table, pts)[0]
+    # Conjugation keeps the cycle type of an element's restriction to the
+    # class, and so theta, the fixed count and whether the element is the
+    # identity.  So the sum takes one element per block of cosets that
+    # conjugation permutes, weighted by the block's size, at every chain
+    # level (see ``_Elements.pair_orbit_weighted``).
+    for theta, fixed, nontrivial, w in _cycle_counts(group.pair_orbit_weighted(), pts, degree):
         if 2 * theta > fixed + size:
             theta_bound_ok = False
         histogram[theta] = histogram.get(theta, 0) + w
-        if (fixed < size or table != identity) and (f_max is None or fixed > f_max):
+        if nontrivial and (f_max is None or fixed > f_max):
             f_max = fixed
     order = len(group)
     histogram = dict(sorted(histogram.items()))
@@ -411,7 +392,7 @@ def max_fixed_ksets(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     Returns (maximum, maximizing cycle type).
     """
     if not 1 <= k < n:
-        raise InvalidParameters(f"need 1 <= k < n")
+        raise InvalidParameters(f"need 1 <= k < n, got k={k}, n={n}")
     transposition = tuple([2] + [1] * (n - 2))
     if n > 12:
         return binomial(n - 2, k - 2) + binomial(n - 2, k), transposition
@@ -484,6 +465,8 @@ def favorable_fraction(q: int, trials: int = 50, seed: int = 0) -> dict:
     (q^2-1)(q^2-q) * 2 p((q-1)/2) / C(q, (q-1)/2) is reported alongside.
     Timeouts are counted per trial, not raised; samples keep trial order.
     """
+    if trials < 1:
+        raise InvalidParameters(f"trials must be at least 1, got {trials}")
     t = (q - 1) // 2
     baseline = q * q * (q - 1)
     bound_value = Fraction((q**2 - 1) * (q**2 - q) * 2 * partition_count(t), binomial(q, t))

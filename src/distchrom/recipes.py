@@ -233,6 +233,8 @@ def recipe_weak(seed: int = DEFAULT_SEED) -> list[dict]:
 
 def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50) -> list[dict]:
     """Slope graphs: the q=5 sweep and sampled symmetry orders at q=11, 13."""
+    if trials < 1:
+        raise InvalidParameters(f"trials must be at least 1, got {trials}")
     checks: list[dict] = []
     q = 5
     line_sets = set()
@@ -312,6 +314,8 @@ def recipe_gs(seed: int = DEFAULT_SEED, trials: int = 50) -> list[dict]:
 
 def recipe_kneser(seed: int = DEFAULT_SEED, trials: int = 1000) -> list[dict]:
     """Intersecting-subset graphs: random proper colorings and symmetry orders."""
+    if trials < 1:
+        raise InvalidParameters(f"trials must be at least 1, got {trials}")
     checks: list[dict] = []
     for n, r in ((6, 3), (7, 3)):
         g = families.kneser_complement(n, r)
@@ -342,6 +346,8 @@ def recipe_kneser(seed: int = DEFAULT_SEED, trials: int = 1000) -> list[dict]:
 
 def recipe_krs(seed: int = DEFAULT_SEED, trials: int = 100) -> list[dict]:
     """Fiber blow-up of the order-5 plane: the +1 coloring and the lower-bound sweep."""
+    if trials < 1:
+        raise InvalidParameters(f"trials must be at least 1, got {trials}")
     checks: list[dict] = []
     g, meta = families.levi_tensor_krs(5, 2, 2)
     lg5 = families.levi_graph(5)

@@ -102,6 +102,20 @@ def test_verify_verdicts(tmp_path, capsys):
     assert payload["witness"] is None
 
 
+def test_verify_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the class-preserving search individualizes about 1,000 vertices in turn
+    gpath = tmp_path / "matching.graph"
+    cpath = tmp_path / "matching.coloring"
+    gpath.write_text(Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)]).to_text())
+    cpath.write_text(Coloring.from_sequence([1, 2] * 1000).to_text())
+    code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["proper"] is True
+    assert payload["distinguishing"] is False
+    assert sorted(payload["witness"]) == list(range(2000))
+
+
 def test_verify_malformed_file(tmp_path, capsys):
     gpath = tmp_path / "g.graph"
     gpath.write_text(levi_graph(2).to_text())
@@ -228,6 +242,8 @@ def test_motion_exact_small(capsys):
 MOTION_EXACT_DIGESTS = {
     ("levi", "--q", "5"): "cff373e0ba0b2ce49b154547a87c3f71e3bbcbc02400711abff4315d23cbad4e",
     ("levi", "--q", "7"): "78ee5cc3b6e6ea517f322af6316a9458583b86d5bd93cf9e3b4eb97af7ef87b1",
+    # degree 266, past the 256 points a bytes element holds
+    ("levi", "--q", "11"): "463b986c18012d300c291f97548f732cc11c40a7905912810e8d9c839c2cd275",
     ("lg1", "--n", "9", "--k", "4"): "6f95cc88a059ddaf400611f364d6f60c4fbe6763105b0042fe2c94e3cda9402a",
     ("lg1", "--n", "10", "--k", "4"): "1d13f1f3c3817551943759eaf91de153a95c1dda5fc84cacaa4be4e912a6cdd9",
 }
@@ -275,6 +291,27 @@ def test_reproduce_rejects_trials_for_recipes_without_trials(recipe, capsys):
     assert code == 2
     assert out == ""
     assert f"recipe {recipe!r} does not read --trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "krs", "--trials", "0"),
+        ("reproduce", "krs", "--trials", "-3"),
+        ("reproduce", "kneser", "--trials", "0"),
+        ("reproduce", "gs", "--trials", "0"),
+        ("reproduce", "all", "--trials", "0"),
+        ("gs", "montecarlo", "--q", "5", "--trials", "0"),
+        ("gs", "montecarlo", "--q", "5", "--trials", "-3"),
+    ],
+    ids=" ".join,
+)
+def test_trials_below_one_exit_2(capsys, argv):
+    # zero trials would pass every "all trials ..." check vacuously; ``all``
+    # is refused earlier, since ``weak`` does not read --trials
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "trials" in err
 
 
 @pytest.mark.parametrize("recipe", ["weak", "all"])

@@ -433,6 +433,17 @@ def test_budget_arguments_are_validated(steps, secs):
         automorphism_group(complete_graph(3), budget_steps=steps, budget_secs=secs)
 
 
+def test_searches_deeper_than_the_recursion_limit():
+    # individualizing a vertex of a 2,000-vertex matching leaves 999 edges to
+    # go, so the search passes Python's default recursion limit of 1,000; it
+    # must end in the step budget, and leave the limit as it found it
+    limit = sys.getrecursionlimit()
+    matching = Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+    with pytest.raises(SearchTimeout, match="refinement-step"):
+        automorphism_group(matching, budget_steps=10**7)
+    assert sys.getrecursionlimit() == limit
+
+
 def test_step_budget_stops_the_krs_search():
     # the leaf automorphism checks and the cell scans count as steps, so 10^6
     # steps end this search in well under a second, long before the

@@ -633,6 +633,10 @@ def test_max_fixed_ksets_examples():
     value, argmax = max_fixed_ksets(4, 1)
     assert value == 2
     assert max_fixed_ksets(20, 5)[0] == 18 * 17 * 16 // 6 + 18 * 17 * 16 * 15 * 14 // 120
+    with pytest.raises(InvalidParameters, match="got k=5, n=5"):
+        max_fixed_ksets(5, 5)
+    with pytest.raises(InvalidParameters, match="got k=0, n=4"):
+        max_fixed_ksets(4, 0)
 
 
 def test_slope_mobius():
